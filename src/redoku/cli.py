@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .board import Board, ConstraintSet, parse_missing
 from .figures import render_ascii, render_class_sheets, render_svg
@@ -48,37 +47,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    """One validated invocation: the command plus everything it needs."""
-
-    command: str
-    order: int = 3
-    n_missing: int | None = None
-    model: str | None = None
-    corpus: str | None = None
-    budget: int | None = None
-    sample: int | None = None
-    seed: int = 0
-    outputs: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-
-    @property
-    def board(self) -> Board:
-        return Board(self.order)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="redoku", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--order", type=int, default=3, metavar="N",
                        help="board order (default 3: a 9x9 board)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="RNG seed where sampling applies (default 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="RNG seed where sampling applies (default 0)")
 
     p = sub.add_parser("closure", help="rewrite a model to its fixpoint")
     p.add_argument("--missing", required=True, metavar="LABELS",
@@ -143,7 +121,7 @@ def _build_parser() -> _Parser:
                        help="draw thumbnail sheets for all Missing(K) classes")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii",
                    help="single-model output format (default ascii)")
-    p.add_argument("-o", "--output", metavar="PATH",
+    p.add_argument("-o", "--output", default="-", metavar="PATH",
                    help="single-model destination (default: stdout)")
     p.add_argument("--out-dir", default=".", metavar="DIR",
                    help="sheet destination directory (default: cwd)")
@@ -169,49 +147,25 @@ def _resolve_corpus(parser, path: str | None) -> str | None:
     return env
 
 
-def _config_from_args(parser, args) -> RunConfig:
-    cfg = RunConfig(command=args.command, order=args.order,
-                    seed=getattr(args, "seed", 0))
-    if cfg.order < 1:
-        parser.error("--order must be at least 1")
-    cfg.model = getattr(args, "missing", None)
-    cfg.n_missing = getattr(args, "n_missing", None)
-    if cfg.n_missing is None:
-        cfg.n_missing = getattr(args, "report", None)
-    cfg.budget = getattr(args, "budget", None)
-    cfg.sample = getattr(args, "sample", None)
-    cfg.corpus = _resolve_corpus(parser, getattr(args, "corpus", None))
-    for name in ("json", "jsonl", "output", "out_dir"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg.outputs[name] = value
-    for name in ("full", "reduce", "shuffle", "givens", "index", "format",
-                 "equal", "max_missing"):
-        if hasattr(args, name):
-            cfg.flags[name] = getattr(args, name)
-    _validate_paths(parser, cfg)
-    return cfg
-
-
-def _validate_paths(parser, cfg: RunConfig) -> None:
+def _validate_paths(parser, args) -> None:
     # Fail before any work starts, not after minutes of search.
-    if cfg.corpus is not None and not os.path.isfile(cfg.corpus):
-        parser.error(f"corpus not found: {cfg.corpus}")
+    corpus = getattr(args, "corpus", None)
+    if corpus is not None and not os.path.isfile(corpus):
+        parser.error(f"corpus not found: {corpus}")
     for name in ("json", "jsonl", "output"):
-        path = cfg.outputs.get(name)
+        path = getattr(args, name, None)
         if path and path != "-":
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):
                 parser.error(f"output directory does not exist: {parent}")
-    out_dir = cfg.outputs.get("out_dir")
-    if out_dir and cfg.command == "figure" and cfg.n_missing is not None:
-        if not os.path.isdir(out_dir):
-            parser.error(f"--out-dir does not exist: {out_dir}")
+    if args.command == "figure" and args.report is not None:
+        if not os.path.isdir(args.out_dir):
+            parser.error(f"--out-dir does not exist: {args.out_dir}")
 
 
-def _parse_model(parser, cfg: RunConfig) -> ConstraintSet:
+def _parse_model(parser, args) -> ConstraintSet:
     try:
-        return parse_missing(cfg.board, cfg.model or "")
+        return parse_missing(Board(args.order), args.missing or "")
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -224,11 +178,11 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _cmd_closure(parser, cfg: RunConfig) -> int:
-    cset = _parse_model(parser, cfg)
+def _cmd_closure(parser, args) -> int:
+    cset = _parse_model(parser, args)
     fixpoint, steps = closure(cset)
     for i, step in enumerate(steps, 1):
-        print(f"step {i}: {step.render(cfg.board)}")
+        print(f"step {i}: {step.render(cset.board)}")
     if fixpoint.is_full():
         print("verdict: Sudoku")
     else:
@@ -236,19 +190,18 @@ def _cmd_closure(parser, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(parser, cfg: RunConfig) -> int:
-    report = run_classification(cfg.board, cfg.n_missing)
+def _cmd_classify(parser, args) -> int:
+    report = run_classification(Board(args.order), args.n_missing)
     print(f"raw models: {report.raw_count}")
     print(f"classes: {report.class_count} "
           f"({len(report.sudoku_classes)} Sudoku, "
           f"{len(report.non_sudoku_classes)} not)")
     print(f"catalog entries: {len(report.catalog)}")
     print(f"elapsed: {report.elapsed:.1f}s")
-    path = cfg.outputs.get("json")
-    if path:
-        _write_text(path, json.dumps(report.to_json_dict(), sort_keys=True,
-                                     indent=2) + "\n")
-        print(f"report written to {path}")
+    if args.json:
+        _write_text(args.json, json.dumps(report.to_json_dict(),
+                                          sort_keys=True, indent=2) + "\n")
+        print(f"report written to {args.json}")
     unresolved = report.unresolved_classes
     if unresolved:
         print(f"unresolved classes ({len(unresolved)}):", file=sys.stderr)
@@ -258,40 +211,41 @@ def _cmd_classify(parser, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_probe(parser, cfg: RunConfig) -> int:
-    board = cfg.board
-    cset = _parse_model(parser, cfg)
+def _cmd_probe(parser, args) -> int:
+    cset = _parse_model(parser, args)
+    board = cset.board
     base = expand_small(cset)
     if not base:
         parser.error("the model expands to no small constraints")
-    if cfg.flags["full"]:
+    if args.full:
         probes = sorted(base)
     else:
-        if cfg.sample < 1:
+        if args.sample < 1:
             parser.error("--sample must be positive")
-        if cfg.sample > len(base):
-            parser.error(f"--sample {cfg.sample} exceeds the set size "
+        if args.sample > len(base):
+            parser.error(f"--sample {args.sample} exceeds the set size "
                          f"{len(base)}")
-        probes = sample_probes(base, cfg.sample, cfg.seed)
+        probes = sample_probes(base, args.sample, args.seed)
     corpus = None
-    if cfg.corpus is not None:
-        corpus, diagnostics = read_corpus(cfg.corpus, board)
+    if args.corpus is not None:
+        corpus, diagnostics = read_corpus(args.corpus, board)
         for lineno, message in diagnostics:
-            print(f"{cfg.corpus}:{lineno}: {message}", file=sys.stderr)
+            print(f"{args.corpus}:{lineno}: {message}", file=sys.stderr)
         if not corpus:
-            print(f"error: no usable puzzles in {cfg.corpus}",
+            print(f"error: no usable puzzles in {args.corpus}",
                   file=sys.stderr)
             return EXIT_IO
     records = probe_minimality(board, base, probes, corpus=corpus,
-                               budget=cfg.budget)
+                               budget=args.budget)
     lines = "".join(json.dumps(r.to_json_dict(board), sort_keys=True) + "\n"
                     for r in records)
-    _write_text(cfg.outputs["jsonl"], lines)
+    _write_text(args.jsonl, lines)
     confirmed = sum(r.verdict == CONFIRMED_NEEDED for r in records)
     print(f"confirmed needed: {confirmed}/{len(records)}, "
           f"inconclusive: {len(records) - confirmed}")
-    if cfg.flags["reduce"]:
-        reduced, dropped = experimental_reduce(board, base, seed=cfg.seed)
+    if args.reduce:
+        reduced, dropped = experimental_reduce(
+            board, base, seed=args.seed, budget=args.budget, corpus=corpus)
         print(f"heuristic reduction: {len(base)} -> {len(reduced)} pairs "
               f"({len(dropped)} dropped; candidates only, not proofs)")
     return EXIT_OK
@@ -310,32 +264,32 @@ def _parse_equalities(parser, exprs) -> tuple:
     return tuple(out)
 
 
-def _cmd_solve(parser, cfg: RunConfig) -> int:
-    board = cfg.board
-    cset = _parse_model(parser, cfg)
+def _cmd_solve(parser, args) -> int:
+    cset = _parse_model(parser, args)
+    board = cset.board
     givens = None
-    if cfg.flags["givens"] is not None:
+    if args.givens is not None:
         try:
-            givens = parse_puzzle_line(board, cfg.flags["givens"])
+            givens = parse_puzzle_line(board, args.givens)
         except ValueError as exc:
             parser.error(str(exc))
-    elif cfg.corpus is not None:
-        puzzles, diagnostics = read_corpus(cfg.corpus, board)
+    elif args.corpus is not None:
+        puzzles, diagnostics = read_corpus(args.corpus, board)
         for lineno, message in diagnostics:
-            print(f"{cfg.corpus}:{lineno}: {message}", file=sys.stderr)
-        index = cfg.flags["index"]
+            print(f"{args.corpus}:{lineno}: {message}", file=sys.stderr)
+        index = args.index
         if not 0 <= index < len(puzzles):
             print(f"error: corpus has {len(puzzles)} puzzles, "
                   f"index {index} out of range", file=sys.stderr)
             return EXIT_IO
         givens = puzzles[index]
-    equalities = _parse_equalities(parser, cfg.flags["equal"])
+    equalities = _parse_equalities(parser, args.equal)
     try:
         problem = make_problem(cset, equalities=equalities, givens=givens)
     except ValueError as exc:
         parser.error(str(exc))
-    seed = cfg.seed if cfg.flags["shuffle"] else None
-    outcome = solve(problem, budget=cfg.budget, value_order_seed=seed)
+    seed = args.seed if args.shuffle else None
+    outcome = solve(problem, budget=args.budget, value_order_seed=seed)
     print(f"status: {outcome.status}")
     print(f"nodes: {outcome.stats.nodes}  "
           f"propagations: {outcome.stats.propagations}")
@@ -346,39 +300,38 @@ def _cmd_solve(parser, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_figure(parser, cfg: RunConfig) -> int:
-    if cfg.model is not None:
-        cset = _parse_model(parser, cfg)
-        if cfg.flags["format"] == "svg":
+def _cmd_figure(parser, args) -> int:
+    if args.missing is not None:
+        cset = _parse_model(parser, args)
+        if args.format == "svg":
             text = render_svg(cset)
         else:
             text = render_ascii(cset) + "\n"
-        _write_text(cfg.outputs.get("output", "-"), text)
+        _write_text(args.output, text)
         return EXIT_OK
-    report = run_classification(cfg.board, cfg.n_missing)
-    out_dir = cfg.outputs["out_dir"]
+    report = run_classification(Board(args.order), args.report)
     for name, svg in render_class_sheets(report).items():
-        path = os.path.join(out_dir,
-                            f"missing{cfg.n_missing}-{name}-classes.svg")
+        path = os.path.join(args.out_dir,
+                            f"missing{args.report}-{name}-classes.svg")
         _write_text(path, svg)
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_catalog(parser, cfg: RunConfig) -> int:
-    horizon = cfg.flags["max_missing"]
+def _cmd_catalog(parser, args) -> int:
+    horizon = args.max_missing
     if horizon < 2:
         parser.error("--max-missing must be at least 2")
-    entries = minimal_catalog(cfg.board, horizon)
+    entries = minimal_catalog(Board(args.order), horizon)
     print(f"entries: {len(entries)} (max missing {horizon})")
     for i, entry in enumerate(entries, 1):
         print(f"{i}: {entry.label}")
-    path = cfg.outputs.get("json")
-    if path:
+    if args.json:
         data = [{"missing": e.label, "witness": e.witness.to_line()}
                 for e in entries]
-        _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
-        print(f"catalog written to {path}")
+        _write_text(args.json,
+                    json.dumps(data, sort_keys=True, indent=2) + "\n")
+        print(f"catalog written to {args.json}")
     return EXIT_OK
 
 
@@ -395,9 +348,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
+    if args.order < 1:
+        parser.error("--order must be at least 1")
+    if hasattr(args, "corpus"):
+        args.corpus = _resolve_corpus(parser, args.corpus)
+    _validate_paths(parser, args)
     try:
-        return _COMMANDS[cfg.command](parser, cfg)
+        return _COMMANDS[args.command](parser, args)
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:

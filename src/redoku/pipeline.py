@@ -6,7 +6,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .board import Board, ConstraintSet, Grid
 from .rewrite import close_mask
@@ -16,70 +15,6 @@ from .symmetry import _canonical_key, _key_to_mask, group_images
 SUDOKU = "sudoku"
 NOT_SUDOKU = "not-sudoku"
 UNRESOLVED = "unresolved"
-
-
-@lru_cache(maxsize=None)
-def _enumerate(n: int, n_missing: int):
-    """Canonical class reps and their raw multiplicities (= orbit sizes)."""
-    board = Board(n)
-    if not 0 <= n_missing <= board.num_big:
-        raise ValueError(
-            f"n_missing {n_missing} out of range 0..{board.num_big}")
-    full = board.full_mask
-    seen = {}
-    order = []
-    for missing in combinations(range(board.num_big), n_missing):
-        mask = full
-        for cid in missing:
-            mask &= ~(1 << cid)
-        key = _canonical_key(n, mask)
-        if key in seen:
-            seen[key] += 1
-        else:
-            seen[key] = 1
-            order.append(key)
-    reps = tuple(_key_to_mask(key, board.num_big) for key in order)
-    counts = tuple(seen[key] for key in order)
-    return reps, counts
-
-
-def enumerate_classes(board: Board, n_missing: int) -> tuple[ConstraintSet, ...]:
-    """One canonical representative per symmetry class of models with
-    n_missing absent big constraints, in order of first appearance under
-    lexicographic iteration of missing-id combinations."""
-    reps, _ = _enumerate(board.n, n_missing)
-    return tuple(ConstraintSet(board, mask) for mask in reps)
-
-
-def class_orbit_sizes(board: Board, n_missing: int) -> tuple[int, ...]:
-    """Raw set count per class, aligned with enumerate_classes order."""
-    _, counts = _enumerate(board.n, n_missing)
-    return counts
-
-
-def raw_count(board: Board, n_missing: int) -> int:
-    return math.comb(board.num_big, n_missing)
-
-
-@lru_cache(maxsize=None)
-def _stuck_fixpoint_keys(n: int, max_missing: int) -> tuple[int, ...]:
-    """Canonical keys of closure fixpoints that are not the full set,
-    reachable from any class with at most max_missing absent constraints."""
-    board = Board(n)
-    full = board.full_mask
-    keys = []
-    seen = set()
-    for k in range(2, max_missing + 1):
-        reps, _ = _enumerate(n, k)
-        for mask in reps:
-            fix = close_mask(n, mask)
-            if fix == full:
-                continue
-            key = _canonical_key(n, fix)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    return tuple(keys)
 
 
 @dataclass(frozen=True)
@@ -101,24 +36,74 @@ def _covers(entry_images, mask: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _minimal_catalog(n: int, max_missing: int):
+def _level(n: int, k: int):
+    """Classes with k absent constraints, built from those with k - 1.
+
+    Returns (reps, orbit sizes, catalog, catalog images).  Each class is
+    found by dropping one present constraint from a level k - 1
+    representative and canonicalizing.  Sorting the canonical keys gives
+    the order of first appearance among lexicographic missing-id
+    combinations, because the key packs R1 most significant.  Orbit sizes
+    come from group_images, so their sum is an independent check on the
+    enumeration.
+
+    The catalog grows along the way: a closed stuck model with k absences
+    is itself a class at level k, so the closed representatives no earlier
+    entry covers are the new entries, taken in mask order.
+    """
     board = Board(n)
-    keys = _stuck_fixpoint_keys(n, max_missing)
-    csets = [ConstraintSet(board, _key_to_mask(key, board.num_big))
-             for key in keys]
-    csets.sort(key=lambda c: (c.num_missing, c.mask))
-    entries = []
-    kept_images = []
-    for cset in csets:
-        if any(_covers(images, cset.mask) for images in kept_images):
-            continue
+    if not 0 <= k <= board.num_big:
+        raise ValueError(f"n_missing {k} out of range 0..{board.num_big}")
+    if k == 0:
+        return (board.full_mask,), (1,), (), ()
+    prev, _, catalog, images = _level(n, k - 1)
+    keys = set()
+    for mask in prev:
+        present = mask
+        while present:
+            bit = present & -present
+            keys.add(_canonical_key(n, mask ^ bit))
+            present ^= bit
+    reps = tuple(_key_to_mask(key, board.num_big) for key in sorted(keys))
+    orbits = []
+    fresh = []
+    for mask in reps:
+        imgs = group_images(ConstraintSet(board, mask))
+        orbits.append(len(imgs))
+        if (k >= 2 and close_mask(n, mask) == mask
+                and not any(_covers(known, mask) for known in images)):
+            fresh.append((mask, imgs))
+    if sum(orbits) != math.comb(board.num_big, k):
+        raise RuntimeError(
+            f"orbit sizes at level {k} sum to {sum(orbits)}, "
+            f"not C({board.num_big}, {k})")
+    catalog, images = list(catalog), list(images)
+    for mask, imgs in sorted(fresh, key=lambda item: item[0]):
+        cset = ConstraintSet(board, mask)
         witness = find_witness(cset)
         if witness is None:
             raise RuntimeError(
                 f"stuck fixpoint {cset} has no witness within budget")
-        entries.append(CatalogEntry(cset, witness))
-        kept_images.append(group_images(cset))
-    return tuple(entries)
+        catalog.append(CatalogEntry(cset, witness))
+        images.append(imgs)
+    return reps, tuple(orbits), tuple(catalog), tuple(images)
+
+
+def enumerate_classes(board: Board, n_missing: int) -> tuple[ConstraintSet, ...]:
+    """One canonical representative per symmetry class of models with
+    n_missing absent big constraints, in order of first appearance under
+    lexicographic iteration of missing-id combinations."""
+    reps = _level(board.n, n_missing)[0]
+    return tuple(ConstraintSet(board, mask) for mask in reps)
+
+
+def class_orbit_sizes(board: Board, n_missing: int) -> tuple[int, ...]:
+    """Raw set count per class, aligned with enumerate_classes order."""
+    return _level(board.n, n_missing)[1]
+
+
+def raw_count(board: Board, n_missing: int) -> int:
+    return math.comb(board.num_big, n_missing)
 
 
 def minimal_catalog(board: Board, max_missing: int) -> tuple[CatalogEntry, ...]:
@@ -130,13 +115,7 @@ def minimal_catalog(board: Board, max_missing: int) -> tuple[CatalogEntry, ...]:
     """
     if max_missing < 2:
         raise ValueError("max_missing must be at least 2")
-    return _minimal_catalog(board.n, max_missing)
-
-
-@lru_cache(maxsize=None)
-def _catalog_images(n: int, max_missing: int):
-    return tuple(group_images(entry.cset)
-                 for entry in _minimal_catalog(n, max_missing))
+    return _level(board.n, max_missing)[2]
 
 
 @dataclass(frozen=True)
@@ -213,45 +192,30 @@ def _run_classification(n: int, n_missing: int):
     board = Board(n)
     start = time.monotonic()
     full = board.full_mask
-    reps, counts = _enumerate(n, n_missing)
-    catalog_max = max(2, n_missing)
-    catalog = list(_minimal_catalog(n, catalog_max))
-    images = list(_catalog_images(n, catalog_max))
+    reps, counts, _, _ = _level(n, n_missing)
+    _, _, catalog, images = _level(n, max(2, n_missing))
     records = []
     for mask, orbit in zip(reps, counts):
         cset = ConstraintSet(board, mask)
         fix_mask = close_mask(n, mask)
         fixpoint = ConstraintSet(board, fix_mask)
+        steps = cset.num_missing - fixpoint.num_missing
         if fix_mask == full:
             records.append(ClassRecord(
-                cset, orbit, SUDOKU, fixpoint,
-                cset.num_missing - fixpoint.num_missing, None, None))
+                cset, orbit, SUDOKU, fixpoint, steps, None, None))
             continue
-        match = None
-        for entry, imgs in zip(catalog, images):
-            if _covers(imgs, fix_mask):
-                match = entry.label
-                break
-        witness = find_witness(cset)
-        if witness is None and match is None:
-            records.append(ClassRecord(
-                cset, orbit, UNRESOLVED, fixpoint,
-                cset.num_missing - fixpoint.num_missing, None, None))
-            continue
+        match = next((entry.label for entry, imgs in zip(catalog, images)
+                      if _covers(imgs, fix_mask)), None)
         if match is None:
-            # A witnessed fixpoint the catalog missed: grow the catalog so
-            # later classes (and reports) see it.
-            entry = CatalogEntry(fixpoint, find_witness(fixpoint))
-            catalog.append(entry)
-            images.append(group_images(fixpoint))
-            match = entry.label
+            raise RuntimeError(
+                f"fixpoint {fixpoint} of {cset} is not covered by the catalog")
         records.append(ClassRecord(
-            cset, orbit, NOT_SUDOKU, fixpoint,
-            cset.num_missing - fixpoint.num_missing, match, witness))
+            cset, orbit, NOT_SUDOKU, fixpoint, steps, match,
+            find_witness(cset)))
     elapsed = time.monotonic() - start
     return ClassificationReport(
         board, n_missing, raw_count(board, n_missing),
-        tuple(records), tuple(catalog), elapsed)
+        tuple(records), catalog, elapsed)
 
 
 def run_classification(board: Board, n_missing: int) -> ClassificationReport:
@@ -260,8 +224,9 @@ def run_classification(board: Board, n_missing: int) -> ClassificationReport:
     Each class is closed under the derivation rules; classes reaching the
     full set are Sudoku-equivalent.  Stuck classes are matched against the
     minimal catalog and also get a direct counterexample witness, so every
-    negative verdict is independently checkable.  Classes with neither a
-    match nor a witness are reported unresolved.
+    negative verdict is independently checkable.  The catalog holds every
+    closed stuck class up to the horizon, so a fixpoint it does not cover
+    is a RuntimeError.
     """
     return _run_classification(board.n, n_missing)
 

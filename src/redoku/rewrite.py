@@ -106,35 +106,3 @@ def close_mask(n: int, mask: int) -> int:
                     mask |= gap
                     changed = True
     return mask
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of classifying a model by closure plus a negative catalog."""
-
-    kind: str  # "sudoku" | "not-sudoku" | "unresolved"
-    fixpoint: ConstraintSet
-    trace: tuple[Step, ...]
-    matched: Optional[ConstraintSet] = None  # catalog entry that applied
-
-    @property
-    def is_sudoku(self) -> bool:
-        return self.kind == "sudoku"
-
-
-def classify(cset: ConstraintSet, catalog=()) -> Verdict:
-    """Close the model; a full fixpoint proves it Sudoku.  Otherwise look for
-    a catalog entry one of whose group images is missing-subset of the
-    fixpoint (removing even more constraints keeps it non-Sudoku)."""
-    from .symmetry import group_images
-
-    fix, trace = closure(cset)
-    if fix.is_full():
-        return Verdict("sudoku", fix, trace)
-    for entry in catalog:
-        if entry.board != cset.board:
-            raise ValueError("catalog entry for a different board order")
-        for image in group_images(entry):
-            if fix.mask & ~image == 0:
-                return Verdict("not-sudoku", fix, trace, entry)
-    return Verdict("unresolved", fix, trace)

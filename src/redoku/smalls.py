@@ -132,10 +132,12 @@ def probe_pair(board: Board, base, pair, corpus=None,
     the full model rejects, so the pair is reported as needed.  No solution
     within budget is inconclusive, never proof of redundancy.
 
-    With a corpus, each puzzle in order seeds the search as givens and the
-    first solution wins; without one, restarts split the budget.  Unseeded
-    searches also pin the forced-equal cells to value 1: relabeling values
-    maps solutions to solutions, so the pin costs no generality.
+    `budget` bounds the nodes of the whole probe.  With a corpus, each
+    puzzle in order seeds the search as givens, gets an equal share of the
+    budget, and the first solution wins; without one, restarts split the
+    budget.  Unseeded searches also pin the forced-equal cells to value 1:
+    relabeling values maps solutions to solutions, so the pin costs no
+    generality.
     """
     pair = tuple(pair)
     if pair not in base:
@@ -145,9 +147,9 @@ def probe_pair(board: Board, base, pair, corpus=None,
     equality = (pair_cells(board, pair),)
     nodes = propagations = 0
     if corpus:
-        attempts = []
-        for index, givens in enumerate(corpus):
-            attempts.append((index, givens, None, budget))
+        share = budget // len(corpus)
+        attempts = [(index, givens, None, share)
+                    for index, givens in enumerate(corpus)]
     else:
         pin = [0] * board.num_cells
         pin[pair[0]] = pin[pair[1]] = 1
@@ -175,12 +177,14 @@ def probe_minimality(board: Board, base, probes, corpus=None,
 
 
 def experimental_reduce(board: Board, base, seed: int = 0,
-                        budget: int = 50_000, max_drops: int | None = None):
+                        budget: int = 50_000, max_drops: int | None = None,
+                        corpus=None):
     """Heuristic search for a smaller pair set with no found counterexample.
 
-    Greedily drops pairs whose probe finds no solution within budget.  Every
-    drop rests on a failure to disprove, not a proof, so the result is a
-    candidate reduction only.  Returns (reduced_set, dropped_pairs).
+    Greedily drops pairs whose probe, seeded from the corpus if one is
+    given, finds no solution within budget.  Every drop rests on a failure
+    to disprove, not a proof, so the result is a candidate reduction only.
+    Returns (reduced_set, dropped_pairs).
     """
     current = set(base)
     order = sorted(current)
@@ -189,7 +193,8 @@ def experimental_reduce(board: Board, base, seed: int = 0,
     for pair in order:
         if max_drops is not None and len(dropped) >= max_drops:
             break
-        record = probe_pair(board, frozenset(current), pair, budget=budget)
+        record = probe_pair(board, frozenset(current), pair, corpus=corpus,
+                            budget=budget)
         if record.verdict == INCONCLUSIVE:
             current.discard(pair)
             dropped.append(pair)

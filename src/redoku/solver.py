@@ -518,9 +518,7 @@ WITNESS_PROBE_LADDER = ((None, 1_000), (0, 4_000), (1, 4_000), (2, 4_000),
 WITNESS_FINAL_LADDER = ((None, 300_000), (7, 300_000))
 
 
-def find_witness(cset: ConstraintSet, ladder=WITNESS_PROBE_LADDER,
-                 final_ladder=WITNESS_FINAL_LADDER,
-                 fast_path: bool = True) -> Grid | None:
+def find_witness(cset: ConstraintSet, fast_path: bool = True) -> Grid | None:
     """Look for a complete grid proving the model is not equivalent to the
     full model: it satisfies every present constraint and violates at least
     one absent constraint.
@@ -558,7 +556,7 @@ def find_witness(cset: ConstraintSet, ladder=WITNESS_PROBE_LADDER,
     undecided = []
     for _, pair in witness_pairs(cset):
         proven_unsat = False
-        for value_seed, budget in ladder:
+        for value_seed, budget in WITNESS_PROBE_LADDER:
             outcome = attempt(pair, value_seed, budget)
             if outcome.is_solution:
                 grid = outcome.grid
@@ -572,7 +570,7 @@ def find_witness(cset: ConstraintSet, ladder=WITNESS_PROBE_LADDER,
         if not proven_unsat:
             undecided.append(pair)
 
-    for value_seed, budget in final_ladder:
+    for value_seed, budget in WITNESS_FINAL_LADDER:
         for pair in undecided:
             outcome = attempt(pair, value_seed, budget)
             if outcome.is_solution:

@@ -1,9 +1,11 @@
-"""Shared test utilities: a brute-force reference solver for small boards."""
+"""Shared test utilities: brute-force references for the solver and for
+class enumeration."""
 
-from itertools import product
+from itertools import combinations, product
 
-from redoku.board import verify_grid, Grid
+from redoku.board import Board, verify_grid, Grid
 from redoku.solver import SolverProblem
+from redoku.symmetry import _canonical_key, _key_to_mask
 
 
 def brute_force_satisfiable(problem: SolverProblem) -> bool:
@@ -32,3 +34,21 @@ def brute_force_satisfiable(problem: SolverProblem) -> bool:
             continue
         return True
     return False
+
+
+def brute_force_classes(board: Board, n_missing: int):
+    """Class representatives and raw counts by canonicalizing every
+    missing-id combination, in order of first appearance.
+
+    Returns (masks, counts); costs one canonical key per raw model, so it
+    is only sane for small levels.
+    """
+    counts = {}
+    for missing in combinations(range(board.num_big), n_missing):
+        mask = board.full_mask
+        for cid in missing:
+            mask &= ~(1 << cid)
+        key = _canonical_key(board.n, mask)
+        counts[key] = counts.get(key, 0) + 1
+    masks = [_key_to_mask(key, board.num_big) for key in counts]
+    return masks, list(counts.values())

@@ -8,6 +8,8 @@ from redoku.pipeline import (NOT_SUDOKU, SUDOKU, class_orbit_sizes,
                              minimal_catalog, raw_count, run_classification)
 from redoku.symmetry import canonical_key
 
+from helpers import brute_force_classes
+
 
 def test_enumeration_counts(board):
     assert len(enumerate_classes(board, 0)) == 1
@@ -20,6 +22,15 @@ def test_orbit_sizes_sum_to_raw_count(board):
     for k in range(5):
         sizes = class_orbit_sizes(board, k)
         assert sum(sizes) == raw_count(board, k) == math.comb(27, k)
+
+
+@pytest.mark.parametrize("order, top", [(2, 12), (3, 4)])
+def test_sweep_matches_brute_force_enumeration(order, top):
+    board = Board(order)
+    for k in range(top + 1):
+        masks, counts = brute_force_classes(board, k)
+        assert [c.mask for c in enumerate_classes(board, k)] == masks
+        assert list(class_orbit_sizes(board, k)) == counts
 
 
 def test_enumeration_reps_are_distinct_classes(board):

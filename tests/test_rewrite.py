@@ -1,8 +1,10 @@
 import random
 
-from redoku.board import Board, ConstraintSet, parse_missing
-from redoku.rewrite import (LEMMA_I, LEMMA_II, applicable_steps, classify,
-                            close_mask, closure)
+from redoku.board import ConstraintSet, parse_missing
+from redoku.pipeline import minimal_catalog
+from redoku.rewrite import (LEMMA_I, LEMMA_II, applicable_steps, close_mask,
+                            closure)
+from redoku.symmetry import group_images
 
 
 def random_order_fixpoint(cset, rng):
@@ -106,19 +108,19 @@ def test_step_render_names_chute_and_derived(board):
 
 
 def test_classify_with_catalog(board):
-    verdict = classify(parse_missing(board, "B2"))
-    assert verdict.is_sudoku and verdict.fixpoint.is_full()
+    fixpoint, _ = closure(parse_missing(board, "B2"))
+    assert fixpoint.is_full()
 
     stuck = parse_missing(board, "C1,C3")
-    verdict = classify(stuck)
-    assert verdict.kind == "unresolved"
+    fixpoint, _ = closure(stuck)
+    assert not fixpoint.is_full()
 
-    # Two parallel lines of one chute form a known non-Sudoku class; a
-    # catalog carrying any representative settles the verdict.
-    catalog = [parse_missing(board, "R1,R2")]
-    verdict = classify(stuck, catalog)
-    assert verdict.kind == "not-sudoku"
-    assert verdict.matched == catalog[0]
+    # Two parallel lines of one chute form a known non-Sudoku class; the
+    # catalog entry R1,R2 covers C1,C3 through one of its group images.
+    catalog = minimal_catalog(board, 2)
+    assert [entry.label for entry in catalog] == ["R1,R2"]
+    images = group_images(catalog[0].cset)
+    assert any(fixpoint.mask & ~image == 0 for image in images)
 
 
 def test_order_two_closure(board2):

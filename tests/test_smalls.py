@@ -112,6 +112,18 @@ def test_probe_with_corpus_seeds(board, corpus_path):
     assert record.seed_index is not None
 
 
+def test_corpus_probe_shares_one_budget(board, corpus_path):
+    # The corpus puzzles split the probe's budget between them; with the
+    # whole budget per puzzle this pair spent more than the budget.
+    puzzles, _ = read_corpus(corpus_path, board)
+    base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
+    pair = flat_pair(board, (4, 2), (4, 6))
+    assert pair == (28, 32)
+    record = probe_pair(board, base, pair, corpus=puzzles)
+    assert record.verdict == CONFIRMED_NEEDED
+    assert record.nodes <= 200_000
+
+
 def test_full_base_probe_fixture(board):
     # Recorded behavior: dropping one box-only pair from the complete
     # pair set leaves the equality entailed impossible, so the probe can
