@@ -9,9 +9,11 @@ from itertools import combinations
 
 from .board import Board, ConstraintSet, Grid, region_cells
 from .solver import make_problem, solve
+from .symmetry import pair_orbits
 
 CONFIRMED_NEEDED = "confirmed-needed"
 INCONCLUSIVE = "inconclusive"
+SEARCH = "search"
 
 
 def flat_pair(board: Board, a, b) -> tuple[int, int]:
@@ -101,6 +103,9 @@ class ProbeRecord:
     nodes: int
     propagations: int
     seed_index: int | None = None
+    # SEARCH, or "transported:r1,c1-r2,c2" naming the searched pair whose
+    # witness a symmetry of the model moved onto this pair.
+    provenance: str = SEARCH
 
     def to_json_dict(self, board: Board) -> dict:
         cells = pair_cells(board, self.pair)
@@ -111,14 +116,17 @@ class ProbeRecord:
             "nodes": self.nodes,
             "propagations": self.propagations,
             "seed_index": self.seed_index,
+            "provenance": self.provenance,
         }
 
 
 # Unseeded probes split their budget over a deterministic restart ladder:
 # one ascending pass, then shuffled value orders.  Satisfiable probe
 # instances that stall under one ordering almost always fall quickly to
-# another, so many shallow restarts beat few deep ones.
+# another, so many shallow restarts beat few deep ones.  A rung gets at
+# least MIN_RUNG nodes, so a small budget climbs fewer rungs.
 PROBE_RESTART_SEEDS = (None,) + tuple(range(15))
+MIN_RUNG = 1000
 
 DEFAULT_PROBE_BUDGET = 200_000
 
@@ -154,8 +162,9 @@ def probe_pair(board: Board, base, pair, corpus=None,
         pin = [0] * board.num_cells
         pin[pair[0]] = pin[pair[1]] = 1
         pinned = Grid(board, tuple(pin))
-        rung = max(1000, budget // len(PROBE_RESTART_SEEDS))
-        attempts = [(None, pinned, seed, rung) for seed in PROBE_RESTART_SEEDS]
+        rungs = max(1, min(len(PROBE_RESTART_SEEDS), budget // MIN_RUNG))
+        attempts = [(None, pinned, seed, budget // rungs)
+                    for seed in PROBE_RESTART_SEEDS[:rungs]]
     for index, givens, value_seed, node_limit in attempts:
         problem = make_problem(bigs, extra_smalls=extras, equalities=equality,
                                givens=givens)
@@ -170,10 +179,63 @@ def probe_pair(board: Board, base, pair, corpus=None,
 
 def probe_minimality(board: Board, base, probes, corpus=None,
                      budget: int = DEFAULT_PROBE_BUDGET) -> list:
-    """Run probe_pair over a selection of pairs, in the given order."""
+    """Probe a selection of pairs; the records keep the given order.
+
+    When `base` is the expansion of a model and no corpus is given, a
+    symmetry fixing the model maps the probe of one pair onto the probe of
+    its image, so pairs of one orbit share their searches: the requested
+    pairs of an orbit are searched in the given order until one is
+    confirmed needed, and its witness, moved by the symmetry, is the
+    witness of every other requested pair of that orbit.  Corpus givens
+    break the symmetry, so with a corpus, as for a `base` that is not a
+    model expansion, every pair gets its own search.
+    """
     base = frozenset(base)
-    return [probe_pair(board, base, pair, corpus=corpus, budget=budget)
-            for pair in probes]
+    probes = [tuple(pair) for pair in probes]
+    bigs, extras = _decompose(board, base)
+    if corpus or extras:
+        return [probe_pair(board, base, pair, corpus=corpus, budget=budget)
+                for pair in probes]
+    orbits = pair_orbits(bigs, base)
+    searched = {}
+    confirmed = {}  # orbit root -> the search record that confirmed it
+    for pair in probes:
+        # A pair outside `base` is its own root; probe_pair rejects it.
+        root = orbits.get(pair, (pair,))[0]
+        if root not in confirmed and pair not in searched:
+            record = searched[pair] = probe_pair(board, base, pair,
+                                                 budget=budget)
+            if record.verdict == CONFIRMED_NEEDED:
+                confirmed[root] = record
+    records = []
+    for pair in probes:
+        source = confirmed.get(orbits[pair][0])
+        if source is None or source.pair == pair:
+            records.append(searched[pair])
+        else:
+            records.append(_transport(board, base, source, orbits, pair))
+    return records
+
+
+def _transport(board: Board, base, source: ProbeRecord, orbits,
+               pair) -> ProbeRecord:
+    """The record of `pair` whose witness is the witness of `source` moved
+    by the symmetry that carries source's pair onto `pair`.
+
+    With to_source and to_pair carrying the orbit's root onto the two
+    pairs, that symmetry is to_pair after the inverse of to_source.
+    """
+    to_source, to_pair = orbits[source.pair][1], orbits[pair][1]
+    values = [0] * board.num_cells
+    for cell, image in zip(to_source, to_pair):
+        values[image] = source.witness.values[cell]
+    equal = [p for p in base if values[p[0]] == values[p[1]]]
+    if equal != [pair]:
+        raise RuntimeError(f"witness moved from pair {source.pair} to {pair} "
+                           f"makes pairs {equal[:3]} equal")
+    (r1, c1), (r2, c2) = pair_cells(board, source.pair)
+    return ProbeRecord(pair, CONFIRMED_NEEDED, Grid(board, tuple(values)),
+                       0, 0, provenance=f"transported:{r1},{c1}-{r2},{c2}")
 
 
 def experimental_reduce(board: Board, base, seed: int = 0,

@@ -5,8 +5,8 @@
 # presence vector (R1 most significant, then C1.., then B1..) over the group.
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations
 from math import factorial
 
 from .board import Board, ConstraintSet
@@ -54,67 +54,102 @@ class LabelPermutation:
         return LabelPermutation(self.board, tuple(inv))
 
 
+@lru_cache(maxsize=None)
+def _region_ids(n: int) -> dict:
+    """Region id of each region's cell set."""
+    return {frozenset(cells): cid
+            for cid, cells in enumerate(Board(n).region_cells_all)}
+
+
+@dataclass(frozen=True)
+class Symmetry:
+    """One board symmetry, acting on cells: an optional transpose, then a
+    row permutation that keeps the rows of each band together and a column
+    permutation that keeps the columns of each stack together.  Its action
+    on constraint ids is derived from its action on cells."""
+
+    board: Board
+    transpose: bool
+    rows: tuple[int, ...]  # rows[r] = the row that row r moves to, 0-based
+    cols: tuple[int, ...]
+
+    def __post_init__(self):
+        n, side = self.board.n, self.board.side
+        for lines in (self.rows, self.cols):
+            if sorted(lines) != list(range(side)):
+                raise ValueError("lines are not permuted")
+            if any(lines[i] // n != lines[i - i % n] // n for i in range(side)):
+                raise ValueError("line permutation splits a band or stack")
+
+    @cached_property
+    def cells(self) -> tuple[int, ...]:
+        """cells[c] = the cell that cell c moves to (flat indices)."""
+        side = self.board.side
+        out = []
+        for cell in range(self.board.num_cells):
+            r, c = divmod(cell, side)
+            if self.transpose:
+                r, c = c, r
+            out.append(self.rows[r] * side + self.cols[c])
+        return tuple(out)
+
+    @cached_property
+    def labels(self) -> LabelPermutation:
+        """Each region moves to the region that holds its cells' images."""
+        region_ids = _region_ids(self.board.n)
+        return LabelPermutation(self.board, tuple(
+            region_ids[frozenset(self.cells[c] for c in cells)]
+            for cells in self.board.region_cells_all))
+
+
+def _line_swaps(board: Board, pairs, columns: bool = False) -> Symmetry:
+    """Exchange each pair of 0-based rows (or columns) in `pairs`."""
+    ident = tuple(range(board.side))
+    lines = list(ident)
+    for a, b in pairs:
+        lines[a], lines[b] = lines[b], lines[a]
+    if columns:
+        return Symmetry(board, False, ident, tuple(lines))
+    return Symmetry(board, False, tuple(lines), ident)
+
+
 def transpose_perm(board: Board) -> LabelPermutation:
     """Reflection across the main diagonal: rows and columns trade places."""
-    n, side = board.n, board.side
-    mapping = [0] * board.num_big
-    for i in range(side):
-        mapping[i] = side + i
-        mapping[side + i] = i
-    for j in range(side):
-        br, bc = divmod(j, n)
-        mapping[2 * side + j] = 2 * side + bc * n + br
-    return LabelPermutation(board, tuple(mapping))
+    ident = tuple(range(board.side))
+    return Symmetry(board, True, ident, ident).labels
+
+
+def _chute_swap(board: Board, a: int, b: int, columns: bool) -> Symmetry:
+    n = board.n
+    name = "stack" if columns else "band"
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"{name} index out of range 1..{n}")
+    return _line_swaps(board, [((a - 1) * n + off, (b - 1) * n + off)
+                               for off in range(n)], columns)
 
 
 def band_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
     """Exchange bands a and b (1-based), moving their rows and boxes wholesale."""
-    n, side = board.n, board.side
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"band index out of range 1..{n}")
-    mapping = list(range(board.num_big))
-    for off in range(n):
-        ra, rb = (a - 1) * n + off, (b - 1) * n + off
-        mapping[ra], mapping[rb] = rb, ra
-        ja, jb = 2 * side + ra, 2 * side + rb
-        mapping[ja], mapping[jb] = jb, ja
-    return LabelPermutation(board, tuple(mapping))
+    return _chute_swap(board, a, b, columns=False).labels
 
 
 def stack_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
     """Exchange stacks a and b (1-based), moving their columns and boxes."""
-    n, side = board.n, board.side
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"stack index out of range 1..{n}")
-    mapping = list(range(board.num_big))
-    for off in range(n):
-        ca = side + (a - 1) * n + off
-        cb = side + (b - 1) * n + off
-        mapping[ca], mapping[cb] = cb, ca
-        ja = 2 * side + off * n + (a - 1)
-        jb = 2 * side + off * n + (b - 1)
-        mapping[ja], mapping[jb] = jb, ja
-    return LabelPermutation(board, tuple(mapping))
+    return _chute_swap(board, a, b, columns=True).labels
 
 
 def row_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
     """Exchange rows a and b, which must lie in the same band."""
-    n = board.n
-    if (a - 1) // n != (b - 1) // n:
+    if (a - 1) // board.n != (b - 1) // board.n:
         raise ValueError(f"rows {a} and {b} lie in different bands")
-    mapping = list(range(board.num_big))
-    mapping[a - 1], mapping[b - 1] = b - 1, a - 1
-    return LabelPermutation(board, tuple(mapping))
+    return _line_swaps(board, [(a - 1, b - 1)]).labels
 
 
 def col_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
     """Exchange columns a and b, which must lie in the same stack."""
-    n, side = board.n, board.side
-    if (a - 1) // n != (b - 1) // n:
+    if (a - 1) // board.n != (b - 1) // board.n:
         raise ValueError(f"columns {a} and {b} lie in different stacks")
-    mapping = list(range(board.num_big))
-    mapping[side + a - 1], mapping[side + b - 1] = side + b - 1, side + a - 1
-    return LabelPermutation(board, tuple(mapping))
+    return _line_swaps(board, [(a - 1, b - 1)], columns=True).labels
 
 
 def generators(board: Board) -> tuple[LabelPermutation, ...]:
@@ -131,6 +166,101 @@ def generators(board: Board) -> tuple[LabelPermutation, ...]:
             gens.append(row_swap_perm(board, line, line + 1))
             gens.append(col_swap_perm(board, line, line + 1))
     return tuple(gens)
+
+
+# --- stabilizers ------------------------------------------------------------
+
+
+def _line_completion(board: Board, image: int, mask: int):
+    """Row and column permutations, inside each band and stack, that carry
+    the presence mask `image` onto `mask`; None when none exists.  Present
+    lines go to present lines and absent to absent, each in order."""
+    n, side = board.n, board.side
+    if image >> 2 * side != mask >> 2 * side:
+        return None
+    perms = []
+    for offset in (0, side):
+        perm = list(range(side))
+        for chute in range(0, side, n):
+            lines = range(chute, chute + n)
+            src = sorted(lines, key=lambda i: not image >> offset + i & 1)
+            dst = sorted(lines, key=lambda i: not mask >> offset + i & 1)
+            for a, b in zip(src, dst):
+                if (image >> offset + a ^ mask >> offset + b) & 1:
+                    return None
+                perm[a] = b
+        perms.append(perm)
+    return perms
+
+
+def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
+    """Generators of the symmetries that map the model onto itself.
+
+    Each coarse element (transpose, band and stack permutations) whose image
+    of the model has the model's boxes and its count of present lines per
+    band and stack gives one completion: it is followed by the line
+    permutation that puts those lines back in place.  The transpositions of
+    two lines of one band or stack that are both present or both absent are
+    added.  Any symmetry fixing the model, followed by the inverse of the
+    completion of its coarse element, permutes lines inside bands and stacks
+    and fixes the model, so it is a product of those transpositions: the
+    generators reach the whole stabilizer without enumerating it.
+    """
+    board, mask = cset.board, cset.mask
+    n, side = board.n, board.side
+    gens = []
+    for transpose in (False, True):
+        for sigma in permutations(range(n)):
+            for tau in permutations(range(n)):
+                coarse = Symmetry(
+                    board, transpose,
+                    tuple(sigma[r // n] * n + r % n for r in range(side)),
+                    tuple(tau[c // n] * n + c % n for c in range(side)))
+                fix = _line_completion(board, coarse.labels.apply_mask(mask),
+                                       mask)
+                if fix is not None:
+                    gens.append(Symmetry(
+                        board, transpose,
+                        tuple(fix[0][r] for r in coarse.rows),
+                        tuple(fix[1][c] for c in coarse.cols)))
+    for columns in (False, True):
+        offset = side if columns else 0
+        for chute in range(0, side, n):
+            for a, b in combinations(range(chute, chute + n), 2):
+                if not (mask >> offset + a ^ mask >> offset + b) & 1:
+                    gens.append(_line_swaps(board, [(a, b)], columns))
+    return tuple(gens)
+
+
+def pair_orbits(cset: ConstraintSet, pairs) -> dict:
+    """Orbits of cell pairs under the symmetries that fix the model.
+
+    `pairs` holds (a, b) flat-index pairs with a < b and must be mapped onto
+    itself by those symmetries, as the model's expanded pair set is.
+    Returns, for each pair, (root, cells): root is the smallest pair of its
+    orbit, and `cells` is a cell permutation of the stabilizer carrying root
+    onto the pair.  A breadth-first search over the generators builds each
+    orbit and composes the permutations along the way.
+    """
+    gens = stabilizer_generators(cset)
+    orbits = {}
+    for root in sorted(pairs):
+        if root in orbits:
+            continue
+        orbits[root] = (root, tuple(range(cset.board.num_cells)))
+        frontier = [root]
+        while frontier:
+            reached = []
+            for a, b in frontier:
+                carry = orbits[a, b][1]
+                for g in gens:
+                    x, y = g.cells[a], g.cells[b]
+                    image = (x, y) if x < y else (y, x)
+                    if image not in orbits:
+                        orbits[image] = (root, tuple(g.cells[c] for c in carry))
+                        reached.append(image)
+            frontier = reached
+    return orbits
 
 
 # --- canonical forms -------------------------------------------------------

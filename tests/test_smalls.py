@@ -1,11 +1,17 @@
+from collections import Counter
+
 import pytest
 
+import redoku.smalls
 from redoku.board import ConstraintSet, parse_missing
-from redoku.smalls import (CONFIRMED_NEEDED, INCONCLUSIVE, _decompose,
+from redoku.smalls import (CONFIRMED_NEEDED, INCONCLUSIVE, SEARCH, _decompose,
                            expand_small, experimental_reduce, flat_pair,
                            pair_cells, probe_minimality, probe_pair,
                            sample_probes, small_count_range)
 from redoku.solver import read_corpus
+from redoku.symmetry import pair_orbits
+
+MODEL = "R2,R5,R8,C2,C5,C8"
 
 
 def test_full_expansion_count(board):
@@ -138,6 +144,135 @@ def test_full_base_probe_fixture(board):
     assert record.nodes == 200_000
 
 
+def test_unseeded_probe_stays_within_small_budget(board):
+    # Sixteen restart rungs of at least 1,000 nodes each once spent 16,000
+    # nodes on this pair at a budget of 2,000.
+    base = expand_small(ConstraintSet.full(board))
+    record = probe_pair(board, base, (29, 46), budget=2_000)
+    assert record.verdict == INCONCLUSIVE
+    assert record.nodes <= 2_000
+
+
+def equal_model_pairs(board, model, grid):
+    """Cell pairs sharing a present row, column or box that the grid makes
+    equal, found from cell coordinates alone."""
+    missing = set(model.split(","))
+    def regions(cell):
+        r, c = divmod(cell, 9)
+        return {f"R{r + 1}", f"C{c + 1}", f"B{r // 3 * 3 + c // 3 + 1}"}
+    return [(a, b) for a in range(81) for b in range(a + 1, 81)
+            if grid.values[a] == grid.values[b]
+            and (regions(a) & regions(b)) - missing]
+
+
+def counting_probes(monkeypatch):
+    searched = []
+    real = redoku.smalls.probe_pair
+    def probe(board, base, pair, **kwargs):
+        searched.append(tuple(pair))
+        return real(board, base, pair, **kwargs)
+    monkeypatch.setattr(redoku.smalls, "probe_pair", probe)
+    return searched
+
+
+def test_probe_minimality_transports_witnesses(board, monkeypatch):
+    cset = parse_missing(board, MODEL)
+    base = expand_small(cset)
+    probes = sample_probes(base, 24, seed=1)
+    orbits = pair_orbits(cset, base)
+    firsts = {}
+    for pair in probes:
+        firsts.setdefault(orbits[pair][0], pair)
+    searched = counting_probes(monkeypatch)
+    records = probe_minimality(board, base, probes)
+    # One search per orbit, on its first requested pair.
+    assert searched == list(firsts.values()) and len(searched) < len(probes)
+    assert [r.pair for r in records] == probes
+    by_pair = {r.pair: r for r in records}
+    for record in records:
+        assert record.verdict == CONFIRMED_NEEDED
+        assert equal_model_pairs(board, MODEL, record.witness) == [record.pair]
+        source = firsts[orbits[record.pair][0]]
+        if record.pair == source:
+            assert record.provenance == SEARCH and record.nodes > 0
+            continue
+        (r1, c1), (r2, c2) = pair_cells(board, source)
+        assert record.provenance == f"transported:{r1},{c1}-{r2},{c2}"
+        assert by_pair[source].provenance == SEARCH
+        assert (record.nodes, record.propagations) == (0, 0)
+        assert record.seed_index is None
+
+
+def test_probe_minimality_searches_every_pair_at_tiny_budget(board,
+                                                             monkeypatch):
+    base = expand_small(parse_missing(board, MODEL))
+    probes = sample_probes(base, 24, seed=5)
+    searched = counting_probes(monkeypatch)
+    records = probe_minimality(board, base, probes, budget=10)
+    assert searched == probes
+    assert all(r.verdict == INCONCLUSIVE and r.provenance == SEARCH
+               and 0 < r.nodes <= 10 for r in records)
+
+
+def test_probe_minimality_searches_a_prefix_of_each_orbit(board,
+                                                          monkeypatch):
+    # At a budget where some probes fail, an orbit is searched pair by pair
+    # until one is confirmed; that witness then also serves the pairs
+    # searched in vain before it.
+    cset = parse_missing(board, MODEL)
+    base = expand_small(cset)
+    probes = sample_probes(base, 64, seed=1542757380)
+    orbits = pair_orbits(cset, base)
+    searched = counting_probes(monkeypatch)
+    records = probe_minimality(board, base, probes, budget=50)
+    assert Counter(r.verdict for r in records)[INCONCLUSIVE] > 0
+    assert len(set(searched)) == len(searched) < len(probes)
+    verdict = {r.pair: r.verdict for r in records}
+    upgraded = 0
+    for root in {orbits[p][0] for p in probes}:
+        members = [p for p in probes if orbits[p][0] == root]
+        done = [p for p in searched if orbits[p][0] == root]
+        assert done == members[:len(done)]
+        verdicts = {verdict[p] for p in members}
+        if verdict[done[-1]] == CONFIRMED_NEEDED:
+            assert verdicts == {CONFIRMED_NEEDED}
+            upgraded += len(done) - 1
+        else:
+            assert done == members and verdicts == {INCONCLUSIVE}
+    assert upgraded > 0
+
+
+def test_probe_minimality_with_corpus_searches_every_pair(board, corpus_path):
+    puzzles, _ = read_corpus(corpus_path, board)
+    cset = parse_missing(board, MODEL)
+    base = expand_small(cset)
+    orbits = pair_orbits(cset, base)
+    pair = flat_pair(board, (5, 1), (5, 2))
+    same_orbit = [p for p in sorted(base)
+                  if orbits[p][0] == orbits[pair][0]][:2]
+    records = probe_minimality(board, base, same_orbit, corpus=puzzles)
+    assert all(r.provenance == SEARCH and r.seed_index is not None
+               for r in records)
+
+
+def test_probe_minimality_of_a_pair_subset_searches_every_pair(board,
+                                                               monkeypatch):
+    # Twenty pairs of the model cover no whole region, so they are no model
+    # expansion and have no symmetry to share searches along.
+    base = expand_small(parse_missing(board, MODEL))
+    sample = frozenset(sample_probes(base, 20, seed=2))
+    searched = counting_probes(monkeypatch)
+    records = probe_minimality(board, sample, sorted(sample))
+    assert searched == sorted(sample)
+    assert all(r.provenance == SEARCH for r in records)
+
+
+def test_probe_minimality_rejects_foreign_pair(board):
+    base = expand_small(parse_missing(board, MODEL))
+    with pytest.raises(ValueError):
+        probe_minimality(board, base, [flat_pair(board, (2, 1), (2, 5))])
+
+
 def test_probe_minimality_runs_all(board):
     base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
     probes = sample_probes(base, 3, seed=1)
@@ -151,7 +286,8 @@ def test_probe_record_json_shape(board):
     record = probe_pair(board, base, sample_probes(base, 1)[0])
     data = record.to_json_dict(board)
     assert set(data) == {"pair", "verdict", "witness", "nodes",
-                         "propagations", "seed_index"}
+                         "propagations", "seed_index", "provenance"}
+    assert data["provenance"] == "search"
     assert isinstance(data["pair"], list) and len(data["pair"]) == 2
     if data["witness"] is not None:
         assert len(data["witness"]) == 81

@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from redoku.board import Board, ConstraintSet, parse_missing
-from redoku.symmetry import (LabelPermutation, band_swap_perm, canonical_key,
-                             canonicalize, col_swap_perm, generators,
-                             group_images, group_order, orbit_size,
-                             row_swap_perm, stack_swap_perm, transpose_perm)
+from collections import Counter
+from itertools import permutations
+
+from redoku.board import Board, ConstraintSet, parse_missing, region_cells
+from redoku.smalls import expand_small, sample_probes
+from redoku.symmetry import (LabelPermutation, Symmetry, band_swap_perm,
+                             canonical_key, canonicalize, col_swap_perm,
+                             generators, group_images, group_order,
+                             orbit_size, pair_orbits, row_swap_perm,
+                             stabilizer_generators, stack_swap_perm,
+                             transpose_perm)
 
 
 def bfs_orbit(cset):
@@ -149,3 +155,84 @@ def test_order_two_group(board2):
     assert orbit_size(cset) == len(bfs_orbit(cset)) == 8
     full = ConstraintSet.full(board2)
     assert orbit_size(full) == 1
+
+
+def orbit_sizes(cset):
+    orbits = pair_orbits(cset, expand_small(cset))
+    return sorted(Counter(root for root, _ in orbits.values()).values())
+
+
+def test_probe_model_pair_orbits(board):
+    # The stabilizer of R2,R5,R8,C2,C5,C8 (order 4,608) splits its 648
+    # pairs into 11 orbits, and the benchmark's 64-pair draw meets them all.
+    cset = parse_missing(board, "R2,R5,R8,C2,C5,C8")
+    base = expand_small(cset)
+    sizes = orbit_sizes(cset)
+    assert len(sizes) == 11 and sum(sizes) == 648
+    orbits = pair_orbits(cset, base)
+    draw = sample_probes(base, 64, seed=1542757380)
+    assert len({orbits[pair][0] for pair in draw}) == 11
+
+
+def test_full_model_pair_orbits(board):
+    # Pairs sharing a line and a box, a line only, or a box only.
+    assert orbit_sizes(ConstraintSet.full(board)) == [162, 162, 486]
+
+
+def test_orbit_carriers_fix_the_model(board):
+    cset = parse_missing(board, "R2,R5,R8,C2,C5,C8")
+    present = {frozenset(region_cells(cid, board)) for cid in cset.present_ids}
+    for pair, (root, cells) in pair_orbits(cset, expand_small(cset)).items():
+        assert tuple(sorted((cells[root[0]], cells[root[1]]))) == pair
+        for region in present:
+            assert frozenset(cells[c] for c in region) in present
+
+
+def test_stabilizer_generators_act_on_regions(board):
+    rng = random.Random(17)
+    models = [parse_missing(board, "R2,R5,R8,C2,C5,C8"),
+              ConstraintSet.full(board), parse_missing(board, "R1,C1,B1")]
+    models += [ConstraintSet(board, rng.getrandbits(27)) for _ in range(4)]
+    for cset in models:
+        gens = stabilizer_generators(cset)
+        assert gens
+        for g in gens:
+            assert g.labels.apply(cset) == cset
+            for cid in range(board.num_big):
+                image = {g.cells[c] for c in region_cells(cid, board)}
+                assert image == set(region_cells(g.labels.mapping[cid], board))
+
+
+def test_symmetry_rejects_lines_leaving_their_band(board2):
+    ident = tuple(range(4))
+    with pytest.raises(ValueError):
+        Symmetry(board2, False, (0, 2, 1, 3), ident)
+    with pytest.raises(ValueError):
+        Symmetry(board2, False, ident, (0, 0, 2, 3))
+
+
+def _whole_group(board):
+    """Every symmetry of a small board, listed without the generators."""
+    n, side = board.n, board.side
+    lines = [p for p in permutations(range(side))
+             if all(len({p[i] // n for i in range(k, k + n)}) == 1
+                    for k in range(0, side, n))]
+    return [Symmetry(board, t, rows, cols)
+            for t in (False, True) for rows in lines for cols in lines]
+
+
+def test_pair_orbits_match_whole_stabilizer(board2):
+    group = _whole_group(board2)
+    assert len(group) == group_order(board2)
+    rng = random.Random(3)
+    for mask in [board2.full_mask] + [rng.getrandbits(12) for _ in range(12)]:
+        cset = ConstraintSet(board2, mask)
+        pairs = expand_small(cset)
+        stabilizer = [g for g in group if g.labels.apply_mask(mask) == mask]
+        orbits = pair_orbits(cset, pairs)
+        assert set(orbits) == set(pairs)
+        for pair in pairs:
+            expect = {tuple(sorted((g.cells[pair[0]], g.cells[pair[1]])))
+                      for g in stabilizer}
+            got = {p for p in pairs if orbits[p][0] == orbits[pair][0]}
+            assert got == expect
