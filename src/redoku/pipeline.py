@@ -194,6 +194,8 @@ def _run_classification(n: int, n_missing: int):
     full = board.full_mask
     reps, counts, _, _ = _level(n, n_missing)
     _, _, catalog, images = _level(n, max(2, n_missing))
+    # A class that is itself a catalog entry keeps the entry's witness.
+    witnesses = {entry.cset.mask: entry.witness for entry in catalog}
     records = []
     for mask, orbit in zip(reps, counts):
         cset = ConstraintSet(board, mask)
@@ -209,9 +211,10 @@ def _run_classification(n: int, n_missing: int):
         if match is None:
             raise RuntimeError(
                 f"fixpoint {fixpoint} of {cset} is not covered by the catalog")
+        witness = (witnesses[mask] if mask in witnesses
+                   else find_witness(cset))
         records.append(ClassRecord(
-            cset, orbit, NOT_SUDOKU, fixpoint, steps, match,
-            find_witness(cset)))
+            cset, orbit, NOT_SUDOKU, fixpoint, steps, match, witness))
     elapsed = time.monotonic() - start
     return ClassificationReport(
         board, n_missing, raw_count(board, n_missing),

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .board import Board, ConstraintSet, Grid, region_cells
-from .solver import make_problem, solve
+from .solver import solve_equal
 from .symmetry import pair_orbits
 
 CONFIRMED_NEEDED = "confirmed-needed"
@@ -120,14 +120,6 @@ class ProbeRecord:
         }
 
 
-# Unseeded probes split their budget over a deterministic restart ladder:
-# one ascending pass, then shuffled value orders.  Satisfiable probe
-# instances that stall under one ordering almost always fall quickly to
-# another, so many shallow restarts beat few deep ones.  A rung gets at
-# least MIN_RUNG nodes, so a small budget climbs fewer rungs.
-PROBE_RESTART_SEEDS = (None,) + tuple(range(15))
-MIN_RUNG = 1000
-
 DEFAULT_PROBE_BUDGET = 200_000
 
 
@@ -136,45 +128,20 @@ def probe_pair(board: Board, base, pair, corpus=None,
     """Test one pair of `base`: can the remaining pairs still force it apart?
 
     Builds Rest = base minus the pair and searches for a grid satisfying
-    Rest with the pair's cells equal.  A solution proves Rest admits a grid
-    the full model rejects, so the pair is reported as needed.  No solution
+    Rest with the pair's cells equal (solver.solve_equal, which `budget`
+    bounds and `corpus` seeds).  A solution proves Rest admits a grid the
+    full model rejects, so the pair is reported as needed.  No solution
     within budget is inconclusive, never proof of redundancy.
-
-    `budget` bounds the nodes of the whole probe.  With a corpus, each
-    puzzle in order seeds the search as givens, gets an equal share of the
-    budget, and the first solution wins; without one, restarts split the
-    budget.  Unseeded searches also pin the forced-equal cells to value 1:
-    relabeling values maps solutions to solutions, so the pin costs no
-    generality.
     """
     pair = tuple(pair)
     if pair not in base:
         raise ValueError(f"probe pair {pair} is not in the base set")
-    rest = frozenset(base - {pair})
-    bigs, extras = _decompose(board, rest)
-    equality = (pair_cells(board, pair),)
-    nodes = propagations = 0
-    if corpus:
-        share = budget // len(corpus)
-        attempts = [(index, givens, None, share)
-                    for index, givens in enumerate(corpus)]
-    else:
-        pin = [0] * board.num_cells
-        pin[pair[0]] = pin[pair[1]] = 1
-        pinned = Grid(board, tuple(pin))
-        rungs = max(1, min(len(PROBE_RESTART_SEEDS), budget // MIN_RUNG))
-        attempts = [(None, pinned, seed, budget // rungs)
-                    for seed in PROBE_RESTART_SEEDS[:rungs]]
-    for index, givens, value_seed, node_limit in attempts:
-        problem = make_problem(bigs, extra_smalls=extras, equalities=equality,
-                               givens=givens)
-        outcome = solve(problem, budget=node_limit, value_order_seed=value_seed)
-        nodes += outcome.stats.nodes
-        propagations += outcome.stats.propagations
-        if outcome.is_solution:
-            return ProbeRecord(pair, CONFIRMED_NEEDED, outcome.grid,
-                               nodes, propagations, index)
-    return ProbeRecord(pair, INCONCLUSIVE, None, nodes, propagations)
+    bigs, extras = _decompose(board, frozenset(base - {pair}))
+    outcome, index = solve_equal(bigs, pair_cells(board, pair), budget,
+                                 extra_smalls=extras, corpus=corpus)
+    verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
+    return ProbeRecord(pair, verdict, outcome.grid, outcome.stats.nodes,
+                       outcome.stats.propagations, index)
 
 
 def probe_minimality(board: Board, base, probes, corpus=None,

@@ -1,7 +1,8 @@
 # Propagation-based backtracking solver over constraint models.  Problems mix
 # big (all-different) constraints, extra binary inequalities, forced-equal cell
 # pairs, and given values; outcomes carry search statistics and are always
-# re-verified before being reported.
+# re-verified before being reported.  One equality search, solve_equal, pins a
+# cell pair equal under one restart ladder for both witnesses and probes.
 
 import random
 from dataclasses import dataclass
@@ -453,7 +454,7 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
             continue
         values = list(grid.values)
         values[cell] = values[cell] % board.side + 1
-        return _checked_edit(Grid(board, tuple(values)), cset)
+        return _checked_witness(Grid(board, tuple(values)), cset)
 
     for a in range(board.num_cells):
         regs_a = cell_regions[a]
@@ -472,7 +473,7 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
             if violated & present:
                 continue
             out = grid.with_swapped(board.cell_coords(a), board.cell_coords(b))
-            return _checked_edit(out, cset)
+            return _checked_witness(out, cset)
 
     for seed, (r1, c1, r2, c2), violated in _rectangle_edits(board.n):
         if violated & present:
@@ -480,7 +481,7 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
         base = _scrambled_base(board.n, seed)
         out = base.with_swapped((r1, c1), (r1, c2))
         out = out.with_swapped((r2, c1), (r2, c2))
-        return _checked_edit(out, cset)
+        return _checked_witness(out, cset)
 
     for kind, i1, i2, violated in _line_swap_edits(board.n):
         if violated & present:
@@ -495,90 +496,112 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
                 pa = board.cell_index(j + 1, i1)
                 pb = board.cell_index(j + 1, i2)
             values[pa], values[pb] = values[pb], values[pa]
-        return _checked_edit(Grid(board, tuple(values)), cset)
+        return _checked_witness(Grid(board, tuple(values)), cset)
 
     return None
 
 
-def _checked_edit(grid: Grid, cset: ConstraintSet) -> Grid:
+def _checked_witness(grid: Grid, cset: ConstraintSet) -> Grid:
+    # Every witness, edited or searched, is re-verified from scratch.
     if verify_grid(grid, cset):
-        raise RuntimeError("grid edit violated a present constraint")
+        raise RuntimeError("witness violates a present constraint")
     if not verify_grid(grid, ConstraintSet.full(cset.board)):
-        raise RuntimeError("grid edit produced a fully valid grid")
+        raise RuntimeError("witness is a fully valid grid")
     return grid
 
 
-# Per-pair (value_order_seed, node_budget) rungs for the probe fallback.
-# Each pair gets one cheap ascending attempt plus shuffled-value restarts
-# before the next pair is tried; pairs that only ever hit the budget get a
-# final expensive pass.  Restart diversity beats raw budget on satisfiable
-# probe instances by orders of magnitude.
-WITNESS_PROBE_LADDER = ((None, 1_000), (0, 4_000), (1, 4_000), (2, 4_000),
-                        (3, 4_000), (4, 4_000), (5, 4_000), (6, 4_000))
-WITNESS_FINAL_LADDER = ((None, 300_000), (7, 300_000))
+# The restart ladder of every equality search: one ascending pass, then
+# shuffled value orders.  Satisfiable instances that stall under one
+# ordering almost always fall quickly to another, so many shallow restarts
+# beat few deep ones.  A rung gets at least MIN_RUNG nodes, so a small
+# budget climbs fewer rungs.
+RESTART_SEEDS = (None,) + tuple(range(15))
+MIN_RUNG = 1000
 
 
-def find_witness(cset: ConstraintSet, fast_path: bool = True) -> Grid | None:
+def solve_equal(bigs: ConstraintSet, pair: CellPair, budget: int,
+                extra_smalls=(), corpus=None):
+    """Search for a grid of the model in which the two cells of `pair`
+    hold one value; the first solution wins.
+
+    `budget` bounds the nodes of the whole search.  Without a corpus, the
+    pair is pinned to value 1 (relabeling values maps solutions to
+    solutions, so the pin costs no generality) and the restart ladder
+    splits the budget; a rung proving the instance unsatisfiable ends the
+    search, since a complete search under any value order proves the same.
+    With a corpus, each puzzle in order seeds the search as givens with an
+    equal share of the budget, and only a solution is conclusive.
+
+    Returns (outcome with the stats of every attempt summed, corpus index
+    of the solving puzzle or None).
+    """
+    board = bigs.board
+    if corpus:
+        share = budget // len(corpus)
+        attempts = [(index, givens, None, share)
+                    for index, givens in enumerate(corpus)]
+    else:
+        pin = [0] * board.num_cells
+        for row, col in pair:
+            pin[board.cell_index(row, col)] = 1
+        pinned = Grid(board, tuple(pin))
+        rungs = max(1, min(len(RESTART_SEEDS), budget // MIN_RUNG))
+        attempts = [(None, pinned, seed, budget // rungs)
+                    for seed in RESTART_SEEDS[:rungs]]
+    nodes = propagations = 0
+    for index, givens, value_seed, node_limit in attempts:
+        problem = make_problem(bigs, extra_smalls=extra_smalls,
+                               equalities=(pair,), givens=givens)
+        outcome = solve(problem, budget=node_limit,
+                        value_order_seed=value_seed)
+        nodes += outcome.stats.nodes
+        propagations += outcome.stats.propagations
+        if outcome.is_solution or (
+                outcome.status == UNSATISFIABLE and not corpus):
+            break
+    return (SolverOutcome(outcome.status, outcome.grid,
+                          SolveStats(nodes, propagations)),
+            index if outcome.is_solution else None)
+
+
+# Node budgets of witness search: one climb of the restart ladder at
+# MIN_RUNG-node rungs per pair, then a deeper retry of the pairs that only
+# ran out of budget.
+WITNESS_BUDGET = len(RESTART_SEEDS) * MIN_RUNG
+WITNESS_RETRY_BUDGET = 600_000
+
+
+def find_witness(cset: ConstraintSet) -> Grid | None:
     """Look for a complete grid proving the model is not equivalent to the
     full model: it satisfies every present constraint and violates at least
     one absent constraint.
 
-    Each probe forces one uncovered in-region cell pair equal and solves,
-    with the pair pinned to value 1 (relabeling values maps solutions to
-    solutions, so the pin costs no generality).  Returns None when every
-    probe is exhausted or over budget; that outcome carries no proof either
-    way.
-
     Models whose derivation closure reaches the full set are entailed, so no
-    witness can exist; they short-circuit to None without any search.  With
-    fast_path, constant-time grid edits are tried before any probe.
+    witness can exist; they short-circuit to None without any search.
+    Otherwise constant-time grid edits are tried first, then an equality
+    search on each uncovered in-region cell pair (witness_pairs).  Returns
+    None when every search is exhausted or over budget; that outcome
+    carries no proof either way.
     """
     board = cset.board
     if cset.is_full():
         raise ValueError("find_witness needs a model with absent constraints")
     if close_mask(board.n, cset.mask) == board.full_mask:
         return None
-    if fast_path:
-        edited = modification_witness(cset)
-        if edited is not None:
-            return edited
-
-    full = ConstraintSet.full(board)
-
-    def attempt(pair, value_seed, budget):
-        pin = [0] * board.num_cells
-        for row, col in pair:
-            pin[board.cell_index(row, col)] = 1
-        problem = make_problem(cset, equalities=(pair,),
-                               givens=Grid(board, tuple(pin)))
-        return solve(problem, budget=budget, value_order_seed=value_seed)
-
-    undecided = []
+    edited = modification_witness(cset)
+    if edited is not None:
+        return edited
+    retry = []
     for _, pair in witness_pairs(cset):
-        proven_unsat = False
-        for value_seed, budget in WITNESS_PROBE_LADDER:
-            outcome = attempt(pair, value_seed, budget)
-            if outcome.is_solution:
-                grid = outcome.grid
-                if not verify_grid(grid, full):
-                    raise RuntimeError(
-                        "witness probe returned a fully valid grid")
-                return grid
-            if outcome.status == UNSATISFIABLE:
-                proven_unsat = True
-                break
-        if not proven_unsat:
-            undecided.append(pair)
-
-    for value_seed, budget in WITNESS_FINAL_LADDER:
-        for pair in undecided:
-            outcome = attempt(pair, value_seed, budget)
-            if outcome.is_solution:
-                grid = outcome.grid
-                if not verify_grid(grid, full):
-                    raise RuntimeError(
-                        "witness probe returned a fully valid grid")
-                return grid
+        outcome, _ = solve_equal(cset, pair, WITNESS_BUDGET)
+        if outcome.is_solution:
+            return _checked_witness(outcome.grid, cset)
+        if outcome.status == BUDGET:
+            retry.append(pair)
+    for pair in retry:
+        outcome, _ = solve_equal(cset, pair, WITNESS_RETRY_BUDGET)
+        if outcome.is_solution:
+            return _checked_witness(outcome.grid, cset)
     return None
 
 

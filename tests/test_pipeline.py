@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import redoku.pipeline
 from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, SUDOKU, class_orbit_sizes,
                              derive_from_catalog, enumerate_classes,
@@ -94,6 +95,26 @@ def test_catalog_grows_by_one_at_seven(board):
     assert len(seven) == len(six) + 1 == 8
     assert [e.label for e in seven[:7]] == [e.label for e in six]
     assert seven[-1].label == "R1,C1,B2,B4,B6,B8,B9"
+
+
+def test_catalog_classes_keep_their_entry_witness(board, monkeypatch):
+    # The two level-6 classes that are catalog entries take the entry's
+    # witness instead of a second search.  The uncached function is called
+    # so that the patched search is really consulted.
+    entries = {e.label: e.witness for e in minimal_catalog(board, 6)}
+    searched = []
+    real = redoku.pipeline.find_witness
+    def find_witness(cset):
+        searched.append(cset.missing_labels())
+        return real(cset)
+    monkeypatch.setattr(redoku.pipeline, "find_witness", find_witness)
+    report = redoku.pipeline._run_classification.__wrapped__(3, 6)
+    reused = {r.cset.missing_labels(): r.witness for r in report.records
+              if r.cset.missing_labels() in entries}
+    assert sorted(reused) == ["B1,B2,B4,B6,B8,B9", "R1,R4,B1,B5,B7,B8"]
+    assert all(witness == entries[label]
+               for label, witness in reused.items())
+    assert searched and not set(searched) & set(entries)
 
 
 def test_catalog_witnesses_are_valid(board):

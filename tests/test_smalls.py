@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 import redoku.smalls
+import redoku.solver
 from redoku.board import ConstraintSet, parse_missing
 from redoku.smalls import (CONFIRMED_NEEDED, INCONCLUSIVE, SEARCH, _decompose,
                            expand_small, experimental_reduce, flat_pair,
@@ -151,6 +152,23 @@ def test_unseeded_probe_stays_within_small_budget(board):
     record = probe_pair(board, base, (29, 46), budget=2_000)
     assert record.verdict == INCONCLUSIVE
     assert record.nodes <= 2_000
+
+
+def test_exhaustive_unsat_ends_the_probe(board2, monkeypatch):
+    # At order 2 propagation alone rules out every full-model pair, and a
+    # complete search proves the same under any value order, so the probe
+    # stops after one solve instead of climbing all 16 rungs.
+    calls = []
+    real = redoku.solver.solve
+    def solve(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(redoku.solver, "solve", solve)
+    base = expand_small(ConstraintSet.full(board2))
+    record = probe_pair(board2, base, sorted(base)[0])
+    assert len(calls) == 1
+    assert record.verdict == INCONCLUSIVE
+    assert record.witness is None and record.nodes == 0
 
 
 def equal_model_pairs(board, model, grid):

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+import redoku.solver
 from helpers import brute_force_satisfiable
 from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           pattern_solution, verify_grid)
-from redoku.solver import (BUDGET, SOLUTION, UNSATISFIABLE, _rectangle_edits,
-                           find_witness, make_problem, modification_witness,
+from redoku.smalls import INCONCLUSIVE, expand_small, probe_pair
+from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, SOLUTION,
+                           UNSATISFIABLE, _rectangle_edits, find_witness,
+                           make_problem, modification_witness,
                            parse_puzzle_line, read_corpus, solve,
                            witness_pairs)
 
@@ -201,14 +204,48 @@ def test_find_witness_for_stuck_models(board):
         assert verify_grid(grid, ConstraintSet.full(board))
 
 
-def test_find_witness_without_fast_path(board):
-    # The plain probe route must reach the same conclusion, just slower.
-    cset = parse_missing(board, "C1,C3")
-    grid = find_witness(cset, fast_path=False)
+def test_find_witness_by_equality_search(board):
+    # No grid edit fits this model, so its witness must come from the
+    # equality search over witness_pairs.
+    cset = parse_missing(board, "R1,R4,B1,B5,B7,B8")
+    assert modification_witness(cset) is None
+    grid = find_witness(cset)
     assert grid is not None
     assert verify_grid(grid, cset) == frozenset()
     violated = verify_grid(grid, ConstraintSet.full(board))
-    assert violated <= {board.parse_label("C1"), board.parse_label("C3")}
+    assert violated
+    assert violated <= set(cset.missing_ids)
+
+
+def recording_solves(monkeypatch):
+    """Record (value_order_seed, budget) of every equality solve."""
+    calls = []
+    real = redoku.solver.solve
+
+    def solve(problem, budget=DEFAULT_NODE_BUDGET, value_order_seed=None):
+        if problem.equalities:
+            calls.append((value_order_seed, budget))
+        return real(problem, budget=budget, value_order_seed=value_order_seed)
+    monkeypatch.setattr(redoku.solver, "solve", solve)
+    return calls
+
+
+def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
+    # A probe that never finds a solution climbs the whole ladder; each
+    # pair of a witness search climbs a prefix of that same ladder.
+    calls = recording_solves(monkeypatch)
+    record = probe_pair(board, expand_small(ConstraintSet.full(board)),
+                        (29, 46), budget=16_000)
+    assert record.verdict == INCONCLUSIVE
+    ladder = list(calls)
+    assert len(ladder) == 16 and ladder[0] == (None, 1_000)
+    calls.clear()
+    assert find_witness(parse_missing(board, "R1,R4,B1,B5,B7,B8")) is not None
+    starts = [i for i, (seed, _) in enumerate(calls) if seed is None]
+    assert starts and starts[0] == 0
+    climbs = [calls[i:j] for i, j in zip(starts, starts[1:] + [len(calls)])]
+    assert all(climb == ladder[:len(climb)] for climb in climbs)
+    assert max(len(climb) for climb in climbs) > 1
 
 
 def test_parse_puzzle_line(board):
