@@ -348,8 +348,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.order < 1:
-        parser.error("--order must be at least 1")
     if hasattr(args, "corpus"):
         args.corpus = _resolve_corpus(parser, args.corpus)
     _validate_paths(parser, args)

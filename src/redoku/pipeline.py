@@ -9,8 +9,8 @@ from functools import lru_cache
 
 from .board import Board, ConstraintSet, Grid
 from .rewrite import close_mask
-from .solver import find_witness
-from .symmetry import _canonical_key, _key_to_mask, group_images
+from .solver import _checked_witness, find_witness
+from .symmetry import _canonical_key, _key_to_mask, carrier, group_images
 
 SUDOKU = "sudoku"
 NOT_SUDOKU = "not-sudoku"
@@ -194,8 +194,6 @@ def _run_classification(n: int, n_missing: int):
     full = board.full_mask
     reps, counts, _, _ = _level(n, n_missing)
     _, _, catalog, images = _level(n, max(2, n_missing))
-    # A class that is itself a catalog entry keeps the entry's witness.
-    witnesses = {entry.cset.mask: entry.witness for entry in catalog}
     records = []
     for mask, orbit in zip(reps, counts):
         cset = ConstraintSet(board, mask)
@@ -206,15 +204,15 @@ def _run_classification(n: int, n_missing: int):
             records.append(ClassRecord(
                 cset, orbit, SUDOKU, fixpoint, steps, None, None))
             continue
-        match = next((entry.label for entry, imgs in zip(catalog, images)
+        entry = next((entry for entry, imgs in zip(catalog, images)
                       if _covers(imgs, fix_mask)), None)
-        if match is None:
+        g = entry and carrier(entry.cset, fixpoint)
+        if g is None:
             raise RuntimeError(
                 f"fixpoint {fixpoint} of {cset} is not covered by the catalog")
-        witness = (witnesses[mask] if mask in witnesses
-                   else find_witness(cset))
+        witness = _checked_witness(g.move(entry.witness), cset)
         records.append(ClassRecord(
-            cset, orbit, NOT_SUDOKU, fixpoint, steps, match, witness))
+            cset, orbit, NOT_SUDOKU, fixpoint, steps, entry.label, witness))
     elapsed = time.monotonic() - start
     return ClassificationReport(
         board, n_missing, raw_count(board, n_missing),
@@ -225,11 +223,15 @@ def run_classification(board: Board, n_missing: int) -> ClassificationReport:
     """Classify every canonical class with n_missing absent constraints.
 
     Each class is closed under the derivation rules; classes reaching the
-    full set are Sudoku-equivalent.  Stuck classes are matched against the
-    minimal catalog and also get a direct counterexample witness, so every
-    negative verdict is independently checkable.  The catalog holds every
-    closed stuck class up to the horizon, so a fixpoint it does not cover
-    is a RuntimeError.
+    full set are Sudoku-equivalent.  A stuck class is matched against the
+    minimal catalog, and its counterexample grid is the matching entry's
+    witness moved by a symmetry g with absent(g(entry)) within the absent
+    constraints of the class's fixpoint, then verified against the class
+    and the full model, so every negative verdict is independently
+    checkable.  No search runs here: find_witness runs only for catalog
+    entries.  The catalog holds every closed stuck class up to the horizon,
+    so a fixpoint it does not cover, or one no symmetry carries its entry
+    into, is a RuntimeError.
     """
     return _run_classification(board.n, n_missing)
 

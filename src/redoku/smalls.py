@@ -193,15 +193,14 @@ def _transport(board: Board, base, source: ProbeRecord, orbits,
     pairs, that symmetry is to_pair after the inverse of to_source.
     """
     to_source, to_pair = orbits[source.pair][1], orbits[pair][1]
-    values = [0] * board.num_cells
-    for cell, image in zip(to_source, to_pair):
-        values[image] = source.witness.values[cell]
+    witness = to_pair.compose(to_source.inverse()).move(source.witness)
+    values = witness.values
     equal = [p for p in base if values[p[0]] == values[p[1]]]
     if equal != [pair]:
         raise RuntimeError(f"witness moved from pair {source.pair} to {pair} "
                            f"makes pairs {equal[:3]} equal")
     (r1, c1), (r2, c2) = pair_cells(board, source.pair)
-    return ProbeRecord(pair, CONFIRMED_NEEDED, Grid(board, tuple(values)),
+    return ProbeRecord(pair, CONFIRMED_NEEDED, witness,
                        0, 0, provenance=f"transported:{r1},{c1}-{r2},{c2}")
 
 

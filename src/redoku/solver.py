@@ -576,8 +576,10 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     full model: it satisfies every present constraint and violates at least
     one absent constraint.
 
-    Models whose derivation closure reaches the full set are entailed, so no
-    witness can exist; they short-circuit to None without any search.
+    The pipeline calls it only for catalog entries; classes take an entry's
+    witness moved by a symmetry.  Models whose derivation closure reaches
+    the full set are entailed, so no witness can exist; they short-circuit
+    to None without any search.
     Otherwise constant-time grid edits are tried first, then an equality
     search on each uncovered in-region cell pair (witness_pairs).  Returns
     None when every search is exhausted or over budget; that outcome

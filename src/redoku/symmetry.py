@@ -1,15 +1,16 @@
-# Relabeling symmetries of constraint models.  The group is generated by
-# transposition, permutations of bands (row blocks) and stacks (column
-# blocks), and permutations of lines inside one band or stack; its order is
-# 2 * (n! * (n!)^n)^2.  Canonical forms take the lexicographically smallest
-# presence vector (R1 most significant, then C1.., then B1..) over the group.
+# Board symmetries, acting on constraint models, cells and grids.  The group
+# is generated by transposition, permutations of bands (row blocks) and
+# stacks (column blocks), and permutations of lines inside one band or
+# stack; its order is 2 * (n! * (n!)^n)^2.  Canonical forms take the
+# lexicographically smallest presence vector (R1 most significant, then
+# C1.., then B1..) over the group.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .board import Board, ConstraintSet
+from .board import Board, ConstraintSet, Grid
 
 
 def group_order(board: Board) -> int:
@@ -18,55 +19,11 @@ def group_order(board: Board) -> int:
 
 
 @dataclass(frozen=True)
-class LabelPermutation:
-    """Permutation of big-constraint ids induced by one board symmetry."""
-
-    board: Board
-    mapping: tuple[int, ...]  # mapping[old_id] = new_id
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(self.board.num_big)):
-            raise ValueError("mapping is not a permutation of the constraint ids")
-
-    @classmethod
-    def identity(cls, board: Board) -> "LabelPermutation":
-        return cls(board, tuple(range(board.num_big)))
-
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self.mapping):
-            if mask >> i & 1:
-                out |= 1 << j
-        return out
-
-    def apply(self, cset: ConstraintSet) -> ConstraintSet:
-        return ConstraintSet(self.board, self.apply_mask(cset.mask))
-
-    def compose(self, other: "LabelPermutation") -> "LabelPermutation":
-        """Permutation acting as `other` first, then self."""
-        return LabelPermutation(
-            self.board, tuple(self.mapping[j] for j in other.mapping))
-
-    def inverse(self) -> "LabelPermutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return LabelPermutation(self.board, tuple(inv))
-
-
-@lru_cache(maxsize=None)
-def _region_ids(n: int) -> dict:
-    """Region id of each region's cell set."""
-    return {frozenset(cells): cid
-            for cid, cells in enumerate(Board(n).region_cells_all)}
-
-
-@dataclass(frozen=True)
 class Symmetry:
-    """One board symmetry, acting on cells: an optional transpose, then a
-    row permutation that keeps the rows of each band together and a column
-    permutation that keeps the columns of each stack together.  Its action
-    on constraint ids is derived from its action on cells."""
+    """One board symmetry: an optional transpose, then a row permutation
+    that keeps the rows of each band together and a column permutation
+    that keeps the columns of each stack together.  It acts on cells, on
+    grids, and on constraint ids and presence masks."""
 
     board: Board
     transpose: bool
@@ -84,22 +41,55 @@ class Symmetry:
     @cached_property
     def cells(self) -> tuple[int, ...]:
         """cells[c] = the cell that cell c moves to (flat indices)."""
-        side = self.board.side
-        out = []
-        for cell in range(self.board.num_cells):
-            r, c = divmod(cell, side)
-            if self.transpose:
-                r, c = c, r
-            out.append(self.rows[r] * side + self.cols[c])
-        return tuple(out)
+        side, rows, cols = self.board.side, self.rows, self.cols
+        if self.transpose:
+            return tuple(rows[c] * side + cols[r]
+                         for r in range(side) for c in range(side))
+        return tuple(rows[r] * side + cols[c]
+                     for r in range(side) for c in range(side))
 
     @cached_property
-    def labels(self) -> LabelPermutation:
-        """Each region moves to the region that holds its cells' images."""
-        region_ids = _region_ids(self.board.n)
-        return LabelPermutation(self.board, tuple(
-            region_ids[frozenset(self.cells[c] for c in cells)]
-            for cells in self.board.region_cells_all))
+    def labels(self) -> tuple[int, ...]:
+        """labels[i] = the id of the region that region i moves to.  A
+        region's first and last cells share no other region, so it is the
+        one region that holds both their images."""
+        regions = self.board.cell_region_ids
+        return tuple(
+            (set(regions[self.cells[cells[0]]])
+             & set(regions[self.cells[cells[-1]]])).pop()
+            for cells in self.board.region_cells_all)
+
+    def apply_mask(self, mask: int) -> int:
+        out = 0
+        for i, j in enumerate(self.labels):
+            if mask >> i & 1:
+                out |= 1 << j
+        return out
+
+    def apply(self, cset: ConstraintSet) -> ConstraintSet:
+        return ConstraintSet(self.board, self.apply_mask(cset.mask))
+
+    def compose(self, other: "Symmetry") -> "Symmetry":
+        """The symmetry acting as `other` first, then self."""
+        first_rows, first_cols = ((other.cols, other.rows) if self.transpose
+                                  else (other.rows, other.cols))
+        return Symmetry(self.board, self.transpose != other.transpose,
+                        tuple(self.rows[r] for r in first_rows),
+                        tuple(self.cols[c] for c in first_cols))
+
+    def inverse(self) -> "Symmetry":
+        rows, cols = (tuple(sorted(range(len(lines)), key=lines.__getitem__))
+                      for lines in (self.rows, self.cols))
+        if self.transpose:
+            rows, cols = cols, rows
+        return Symmetry(self.board, self.transpose, rows, cols)
+
+    def move(self, grid: Grid) -> Grid:
+        """The grid in which cell g(c) holds the value of cell c."""
+        values = [0] * self.board.num_cells
+        for cell, image in enumerate(self.cells):
+            values[image] = grid.values[cell]
+        return Grid(self.board, tuple(values))
 
 
 def _line_swaps(board: Board, pairs, columns: bool = False) -> Symmetry:
@@ -113,102 +103,37 @@ def _line_swaps(board: Board, pairs, columns: bool = False) -> Symmetry:
     return Symmetry(board, False, tuple(lines), ident)
 
 
-def transpose_perm(board: Board) -> LabelPermutation:
-    """Reflection across the main diagonal: rows and columns trade places."""
-    ident = tuple(range(board.side))
-    return Symmetry(board, True, ident, ident).labels
-
-
-def _chute_swap(board: Board, a: int, b: int, columns: bool) -> Symmetry:
-    n = board.n
-    name = "stack" if columns else "band"
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"{name} index out of range 1..{n}")
-    return _line_swaps(board, [((a - 1) * n + off, (b - 1) * n + off)
-                               for off in range(n)], columns)
-
-
-def band_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
-    """Exchange bands a and b (1-based), moving their rows and boxes wholesale."""
-    return _chute_swap(board, a, b, columns=False).labels
-
-
-def stack_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
-    """Exchange stacks a and b (1-based), moving their columns and boxes."""
-    return _chute_swap(board, a, b, columns=True).labels
-
-
-def row_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
-    """Exchange rows a and b, which must lie in the same band."""
-    if (a - 1) // board.n != (b - 1) // board.n:
-        raise ValueError(f"rows {a} and {b} lie in different bands")
-    return _line_swaps(board, [(a - 1, b - 1)]).labels
-
-
-def col_swap_perm(board: Board, a: int, b: int) -> LabelPermutation:
-    """Exchange columns a and b, which must lie in the same stack."""
-    if (a - 1) // board.n != (b - 1) // board.n:
-        raise ValueError(f"columns {a} and {b} lie in different stacks")
-    return _line_swaps(board, [(a - 1, b - 1)], columns=True).labels
-
-
-def generators(board: Board) -> tuple[LabelPermutation, ...]:
-    """A generating set: transpose, adjacent band/stack swaps, and adjacent
-    line swaps inside each band and stack."""
-    n = board.n
-    gens = [transpose_perm(board)]
-    for k in range(1, n):
-        gens.append(band_swap_perm(board, k, k + 1))
-        gens.append(stack_swap_perm(board, k, k + 1))
-    for band in range(n):
-        for off in range(n - 1):
-            line = band * n + off + 1
-            gens.append(row_swap_perm(board, line, line + 1))
-            gens.append(col_swap_perm(board, line, line + 1))
+def generators(board: Board) -> tuple[Symmetry, ...]:
+    """A generating set: transpose, adjacent band and stack swaps, and
+    adjacent line swaps inside each band and stack."""
+    n, side = board.n, board.side
+    ident = tuple(range(side))
+    gens = [Symmetry(board, True, ident, ident)]
+    for k in range(n - 1):
+        chutes = [(k * n + off, k * n + n + off) for off in range(n)]
+        gens += [_line_swaps(board, chutes), _line_swaps(board, chutes, True)]
+    for line in range(side - 1):
+        if line % n != n - 1:
+            gens += [_line_swaps(board, [(line, line + 1)]),
+                     _line_swaps(board, [(line, line + 1)], True)]
     return tuple(gens)
 
 
-# --- stabilizers ------------------------------------------------------------
+# --- completions: stabilizers and carriers ---------------------------------
 
 
-def _line_completion(board: Board, image: int, mask: int):
-    """Row and column permutations, inside each band and stack, that carry
-    the presence mask `image` onto `mask`; None when none exists.  Present
-    lines go to present lines and absent to absent, each in order."""
-    n, side = board.n, board.side
-    if image >> 2 * side != mask >> 2 * side:
-        return None
-    perms = []
-    for offset in (0, side):
-        perm = list(range(side))
-        for chute in range(0, side, n):
-            lines = range(chute, chute + n)
-            src = sorted(lines, key=lambda i: not image >> offset + i & 1)
-            dst = sorted(lines, key=lambda i: not mask >> offset + i & 1)
-            for a, b in zip(src, dst):
-                if (image >> offset + a ^ mask >> offset + b) & 1:
-                    return None
-                perm[a] = b
-        perms.append(perm)
-    return perms
+def _completions(board: Board, source: int, target: int):
+    """Symmetries g with absent(g(source)) within absent(target), at most
+    one per coarse element (transpose, band and stack permutations).
 
-
-def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
-    """Generators of the symmetries that map the model onto itself.
-
-    Each coarse element (transpose, band and stack permutations) whose image
-    of the model has the model's boxes and its count of present lines per
-    band and stack gives one completion: it is followed by the line
-    permutation that puts those lines back in place.  The transpositions of
-    two lines of one band or stack that are both present or both absent are
-    added.  Any symmetry fixing the model, followed by the inverse of the
-    completion of its coarse element, permutes lines inside bands and stacks
-    and fixes the model, so it is a product of those transpositions: the
-    generators reach the whole stabilizer without enumerating it.
+    The coarse image must keep the target's present boxes.  In each band
+    and stack, a line permutation then pairs the image's lines with the
+    target's, both sorted present lines first; it puts the image's absent
+    lines onto absent lines of the target whenever any line permutation
+    can.  A symmetry keeps the number of absent constraints, so for equal
+    masks the subset is an equality.
     """
-    board, mask = cset.board, cset.mask
     n, side = board.n, board.side
-    gens = []
     for transpose in (False, True):
         for sigma in permutations(range(n)):
             for tau in permutations(range(n)):
@@ -216,13 +141,47 @@ def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
                     board, transpose,
                     tuple(sigma[r // n] * n + r % n for r in range(side)),
                     tuple(tau[c // n] * n + c % n for c in range(side)))
-                fix = _line_completion(board, coarse.labels.apply_mask(mask),
-                                       mask)
-                if fix is not None:
-                    gens.append(Symmetry(
-                        board, transpose,
-                        tuple(fix[0][r] for r in coarse.rows),
-                        tuple(fix[1][c] for c in coarse.cols)))
+                image = coarse.apply_mask(source)
+                if target >> 2 * side & ~image >> 2 * side:
+                    continue  # a present box of the target has no source
+                fix = [list(range(side)), list(range(side))]
+                for offset, perm in zip((0, side), fix):
+                    for chute in range(0, side, n):
+                        lines = range(chute, chute + n)
+                        src = sorted(lines,
+                                     key=lambda i: not image >> offset + i & 1)
+                        dst = sorted(lines,
+                                     key=lambda i: not target >> offset + i & 1)
+                        for a, b in zip(src, dst):
+                            perm[a] = b
+                g = Symmetry(board, transpose,
+                             tuple(fix[0][r] for r in coarse.rows),
+                             tuple(fix[1][c] for c in coarse.cols))
+                if target & ~g.apply_mask(source) == 0:
+                    yield g
+
+
+def carrier(entry: ConstraintSet, cset: ConstraintSet) -> Symmetry | None:
+    """A symmetry g with absent(g(entry)) within absent(cset), or None."""
+    return next(_completions(cset.board, entry.mask, cset.mask), None)
+
+
+def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
+    """Generators of the symmetries that map the model onto itself.
+
+    Each coarse element (transpose, band and stack permutations) whose image
+    of the model has the model's boxes and its count of present lines per
+    band and stack gives one completion onto the model itself.  The
+    transpositions of two lines of one band or stack that are both present
+    or both absent are added.  Any symmetry fixing the model, followed by
+    the inverse of the completion of its coarse element, permutes lines
+    inside bands and stacks and fixes the model, so it is a product of those
+    transpositions: the generators reach the whole stabilizer without
+    enumerating it.
+    """
+    board, mask = cset.board, cset.mask
+    n, side = board.n, board.side
+    gens = list(_completions(board, mask, mask))
     for columns in (False, True):
         offset = side if columns else 0
         for chute in range(0, side, n):
@@ -237,17 +196,19 @@ def pair_orbits(cset: ConstraintSet, pairs) -> dict:
 
     `pairs` holds (a, b) flat-index pairs with a < b and must be mapped onto
     itself by those symmetries, as the model's expanded pair set is.
-    Returns, for each pair, (root, cells): root is the smallest pair of its
-    orbit, and `cells` is a cell permutation of the stabilizer carrying root
-    onto the pair.  A breadth-first search over the generators builds each
-    orbit and composes the permutations along the way.
+    Returns, for each pair, (root, g): root is the smallest pair of its
+    orbit, and g is a symmetry of the stabilizer carrying root onto the
+    pair.  A breadth-first search over the generators builds each orbit and
+    composes the symmetries along the way.
     """
+    board = cset.board
+    ident = tuple(range(board.side))
     gens = stabilizer_generators(cset)
     orbits = {}
     for root in sorted(pairs):
         if root in orbits:
             continue
-        orbits[root] = (root, tuple(range(cset.board.num_cells)))
+        orbits[root] = (root, Symmetry(board, False, ident, ident))
         frontier = [root]
         while frontier:
             reached = []
@@ -257,7 +218,7 @@ def pair_orbits(cset: ConstraintSet, pairs) -> dict:
                     x, y = g.cells[a], g.cells[b]
                     image = (x, y) if x < y else (y, x)
                     if image not in orbits:
-                        orbits[image] = (root, tuple(g.cells[c] for c in carry))
+                        orbits[image] = (root, g.compose(carry))
                         reached.append(image)
             frontier = reached
     return orbits

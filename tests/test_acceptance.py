@@ -19,8 +19,7 @@ from redoku.rewrite import applicable_steps, closure
 from redoku.smalls import (CONFIRMED_NEEDED, expand_small, probe_minimality,
                            sample_probes)
 from redoku.solver import make_problem, solve
-from redoku.symmetry import (LabelPermutation, canonical_key, generators,
-                             group_images)
+from redoku.symmetry import Symmetry, canonical_key, generators, group_images
 
 BOARD = Board(3)
 
@@ -90,6 +89,15 @@ def test_criterion_3_seven_missing_and_catalog_growth():
     for entry in six:
         images = group_images(entry.cset)
         assert not any(newcomer.cset.mask & ~image == 0 for image in images)
+
+    # Every level-7 class is stuck, and its witness grid keeps the class's
+    # constraints and breaks the full model.
+    full = ConstraintSet.full(BOARD)
+    assert len(report.records) == 623
+    for record in report.records:
+        assert record.verdict == NOT_SUDOKU
+        assert verify_grid(record.witness, record.cset) == frozenset()
+        assert verify_grid(record.witness, full)
 
 
 def test_criterion_4_witnesses_for_every_non_sudoku_class():
@@ -182,8 +190,9 @@ def test_criterion_7_property_suites():
 
     # canonical form constant across 200 random group elements
     elements = []
+    ident = tuple(range(BOARD.side))
     for _ in range(200):
-        elem = LabelPermutation.identity(BOARD)
+        elem = Symmetry(BOARD, False, ident, ident)
         for _ in range(rng.randint(1, 15)):
             elem = elem.compose(rng.choice(gens))
         elements.append(elem)

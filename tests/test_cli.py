@@ -75,6 +75,14 @@ def test_classify_json_stable_across_runs(tmp_path, capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_order_below_two_is_usage_error(order, capsys):
+    code, _, err = run_cli_expecting_exit(
+        ["classify", "-n", "1", "--order", order], capsys)
+    assert code == EXIT_USAGE
+    assert "board order must be >= 2" in err
+
+
 def test_classify_rejects_out_of_range(capsys):
     code, _, _ = run_cli_expecting_exit(["classify", "-n", "99"], capsys)
     assert code == EXIT_USAGE

@@ -98,15 +98,16 @@ def test_catalog_grows_by_one_at_seven(board):
 
 
 def test_catalog_classes_keep_their_entry_witness(board, monkeypatch):
-    # The two level-6 classes that are catalog entries take the entry's
-    # witness instead of a second search.  The uncached function is called
-    # so that the patched search is really consulted.
+    # Class witnesses are catalog witnesses moved by a symmetry, so the
+    # classification searches for none; the two level-6 classes that are
+    # catalog entries keep the entry's own grid.  The catalog is built
+    # before the search is patched, and the uncached function is called, so
+    # a search made for any class would be seen.
     entries = {e.label: e.witness for e in minimal_catalog(board, 6)}
     searched = []
-    real = redoku.pipeline.find_witness
     def find_witness(cset):
         searched.append(cset.missing_labels())
-        return real(cset)
+        return None
     monkeypatch.setattr(redoku.pipeline, "find_witness", find_witness)
     report = redoku.pipeline._run_classification.__wrapped__(3, 6)
     reused = {r.cset.missing_labels(): r.witness for r in report.records
@@ -114,7 +115,12 @@ def test_catalog_classes_keep_their_entry_witness(board, monkeypatch):
     assert sorted(reused) == ["B1,B2,B4,B6,B8,B9", "R1,R4,B1,B5,B7,B8"]
     assert all(witness == entries[label]
                for label, witness in reused.items())
-    assert searched and not set(searched) & set(entries)
+    assert searched == []
+    full = ConstraintSet.full(board)
+    for record in report.records:
+        if record.verdict == NOT_SUDOKU:
+            assert verify_grid(record.witness, record.cset) == frozenset()
+            assert verify_grid(record.witness, full)
 
 
 def test_catalog_witnesses_are_valid(board):

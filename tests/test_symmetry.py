@@ -5,14 +5,13 @@ import pytest
 from collections import Counter
 from itertools import permutations
 
-from redoku.board import Board, ConstraintSet, parse_missing, region_cells
+from redoku.board import (Board, ConstraintSet, parse_missing,
+                          pattern_solution, region_cells, verify_grid)
+from redoku.pipeline import _covers
 from redoku.smalls import expand_small, sample_probes
-from redoku.symmetry import (LabelPermutation, Symmetry, band_swap_perm,
-                             canonical_key, canonicalize, col_swap_perm,
+from redoku.symmetry import (Symmetry, canonical_key, canonicalize, carrier,
                              generators, group_images, group_order,
-                             orbit_size, pair_orbits, row_swap_perm,
-                             stabilizer_generators, stack_swap_perm,
-                             transpose_perm)
+                             orbit_size, pair_orbits, stabilizer_generators)
 
 
 def bfs_orbit(cset):
@@ -35,12 +34,32 @@ def bfs_orbit(cset):
     return frozenset(seen)
 
 
+def identity(board):
+    ident = tuple(range(board.side))
+    return Symmetry(board, False, ident, ident)
+
+
+def swaps(board, pairs, columns=False):
+    """Exchange each pair of 0-based rows (or columns) in `pairs`."""
+    ident = tuple(range(board.side))
+    lines = list(ident)
+    for a, b in pairs:
+        lines[a], lines[b] = lines[b], lines[a]
+    if columns:
+        return Symmetry(board, False, ident, tuple(lines))
+    return Symmetry(board, False, tuple(lines), ident)
+
+
 def random_element(board, rng, length=12):
     gens = generators(board)
-    elem = LabelPermutation.identity(board)
+    elem = identity(board)
     for _ in range(length):
         elem = elem.compose(rng.choice(gens))
     return elem
+
+
+def moved(board, g, label):
+    return board.id_label(g.labels[board.parse_label(label)])
 
 
 def test_group_order(board, board2):
@@ -50,37 +69,40 @@ def test_group_order(board, board2):
 
 def test_generators_are_permutations(board):
     for g in generators(board):
-        assert sorted(g.mapping) == list(range(27))
+        assert sorted(g.labels) == list(range(27))
         gg = g.compose(g)
-        assert gg.mapping == tuple(range(27))  # all generators are involutions
+        assert gg.labels == tuple(range(27))  # all generators are involutions
+        assert gg == identity(board)
 
 
 def test_transpose_maps_kinds(board):
-    t = transpose_perm(board)
-    assert board.id_label(t.mapping[board.parse_label("R3")]) == "C3"
-    assert board.id_label(t.mapping[board.parse_label("C7")]) == "R7"
-    assert board.id_label(t.mapping[board.parse_label("B2")]) == "B4"
-    assert board.id_label(t.mapping[board.parse_label("B5")]) == "B5"
+    ident = tuple(range(9))
+    t = Symmetry(board, True, ident, ident)
+    assert moved(board, t, "R3") == "C3"
+    assert moved(board, t, "C7") == "R7"
+    assert moved(board, t, "B2") == "B4"
+    assert moved(board, t, "B5") == "B5"
 
 
 def test_band_and_stack_swaps(board):
-    b = band_swap_perm(board, 1, 3)
-    assert board.id_label(b.mapping[board.parse_label("R1")]) == "R7"
-    assert board.id_label(b.mapping[board.parse_label("B2")]) == "B8"
-    assert board.id_label(b.mapping[board.parse_label("C4")]) == "C4"
-    s = stack_swap_perm(board, 2, 3)
-    assert board.id_label(s.mapping[board.parse_label("C4")]) == "C7"
-    assert board.id_label(s.mapping[board.parse_label("B5")]) == "B6"
-    assert board.id_label(s.mapping[board.parse_label("R9")]) == "R9"
+    b = swaps(board, [(r, r + 6) for r in range(3)])  # bands 1 and 3
+    assert moved(board, b, "R1") == "R7"
+    assert moved(board, b, "B2") == "B8"
+    assert moved(board, b, "C4") == "C4"
+    # stacks 2 and 3
+    s = swaps(board, [(c, c + 3) for c in range(3, 6)], columns=True)
+    assert moved(board, s, "C4") == "C7"
+    assert moved(board, s, "B5") == "B6"
+    assert moved(board, s, "R9") == "R9"
 
 
 def test_line_swaps_stay_inside_chutes(board):
-    r = row_swap_perm(board, 4, 6)
-    assert board.id_label(r.mapping[board.parse_label("R4")]) == "R6"
+    r = swaps(board, [(3, 5)])
+    assert moved(board, r, "R4") == "R6"
     with pytest.raises(ValueError):
-        row_swap_perm(board, 3, 4)
+        swaps(board, [(2, 3)])  # rows 3 and 4
     with pytest.raises(ValueError):
-        col_swap_perm(board, 1, 9)
+        swaps(board, [(0, 8)], columns=True)  # columns 1 and 9
 
 
 def test_inverse_and_compose(board):
@@ -88,7 +110,8 @@ def test_inverse_and_compose(board):
     for _ in range(20):
         g = random_element(board, rng)
         gi = g.compose(g.inverse())
-        assert gi.mapping == tuple(range(27))
+        assert gi.labels == tuple(range(27))
+        assert gi == g.inverse().compose(g) == identity(board)
 
 
 def test_orbit_sizes_match_bfs(board):
@@ -182,7 +205,9 @@ def test_full_model_pair_orbits(board):
 def test_orbit_carriers_fix_the_model(board):
     cset = parse_missing(board, "R2,R5,R8,C2,C5,C8")
     present = {frozenset(region_cells(cid, board)) for cid in cset.present_ids}
-    for pair, (root, cells) in pair_orbits(cset, expand_small(cset)).items():
+    for pair, (root, g) in pair_orbits(cset, expand_small(cset)).items():
+        assert g.apply(cset) == cset
+        cells = g.cells
         assert tuple(sorted((cells[root[0]], cells[root[1]]))) == pair
         for region in present:
             assert frozenset(cells[c] for c in region) in present
@@ -197,10 +222,10 @@ def test_stabilizer_generators_act_on_regions(board):
         gens = stabilizer_generators(cset)
         assert gens
         for g in gens:
-            assert g.labels.apply(cset) == cset
+            assert g.apply(cset) == cset
             for cid in range(board.num_big):
                 image = {g.cells[c] for c in region_cells(cid, board)}
-                assert image == set(region_cells(g.labels.mapping[cid], board))
+                assert image == set(region_cells(g.labels[cid], board))
 
 
 def test_symmetry_rejects_lines_leaving_their_band(board2):
@@ -228,7 +253,7 @@ def test_pair_orbits_match_whole_stabilizer(board2):
     for mask in [board2.full_mask] + [rng.getrandbits(12) for _ in range(12)]:
         cset = ConstraintSet(board2, mask)
         pairs = expand_small(cset)
-        stabilizer = [g for g in group if g.labels.apply_mask(mask) == mask]
+        stabilizer = [g for g in group if g.apply_mask(mask) == mask]
         orbits = pair_orbits(cset, pairs)
         assert set(orbits) == set(pairs)
         for pair in pairs:
@@ -236,3 +261,56 @@ def test_pair_orbits_match_whole_stabilizer(board2):
                       for g in stabilizer}
             got = {p for p in pairs if orbits[p][0] == orbits[pair][0]}
             assert got == expect
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_carrier_exists_exactly_when_the_entry_covers(order):
+    board = Board(order)
+    rng = random.Random(23)
+    found = Counter()
+    for _ in range(200):
+        entry = ConstraintSet(board, rng.getrandbits(board.num_big)
+                              | rng.getrandbits(board.num_big))
+        mask = rng.getrandbits(board.num_big)
+        if rng.random() < 0.5:
+            mask &= rng.getrandbits(board.num_big)
+        g = carrier(entry, ConstraintSet(board, mask))
+        covered = _covers(group_images(entry), mask)
+        assert (g is not None) == covered
+        found[covered] += 1
+        if g is None:
+            continue
+        assert mask & ~g.apply_mask(entry.mask) == 0
+        for cid in range(board.num_big):
+            image = {g.cells[c] for c in region_cells(cid, board)}
+            assert image == set(region_cells(g.labels[cid], board))
+    assert found[True] > 20 and found[False] > 20
+
+
+def test_carrier_of_a_model_onto_itself_is_the_identity(board):
+    rng = random.Random(29)
+    for _ in range(10):
+        cset = ConstraintSet(board, rng.getrandbits(27))
+        assert carrier(cset, cset) == identity(board)
+        image = random_element(board, rng).apply(cset)
+        assert carrier(cset, image).apply(cset) == image
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_compose_inverse_and_move_act_on_cells(order):
+    board = Board(order)
+    rng = random.Random(31)
+    grid = pattern_solution(board)
+    full = ConstraintSet.full(board)
+    for _ in range(20):
+        g, h = random_element(board, rng), random_element(board, rng)
+        gh = g.compose(h)
+        assert gh.cells == tuple(g.cells[h.cells[c]]
+                                 for c in range(board.num_cells))
+        assert g.inverse().compose(g) == identity(board)
+        assert all(g.inverse().cells[g.cells[c]] == c
+                   for c in range(board.num_cells))
+        out = g.move(grid)
+        assert all(out.values[g.cells[c]] == grid.values[c]
+                   for c in range(board.num_cells))
+        assert verify_grid(out, full) == frozenset()
