@@ -320,8 +320,6 @@ def _cmd_figure(parser, args) -> int:
 
 def _cmd_catalog(parser, args) -> int:
     horizon = args.max_missing
-    if horizon < 2:
-        parser.error("--max-missing must be at least 2")
     entries = minimal_catalog(Board(args.order), horizon)
     print(f"entries: {len(entries)} (max missing {horizon})")
     for i, entry in enumerate(entries, 1):

@@ -39,24 +39,23 @@ def _covers(entry_images, mask: int) -> bool:
 def _level(n: int, k: int):
     """Classes with k absent constraints, built from those with k - 1.
 
-    Returns (reps, orbit sizes, catalog, catalog images).  Each class is
-    found by dropping one present constraint from a level k - 1
-    representative and canonicalizing.  Sorting the canonical keys gives
-    the order of first appearance among lexicographic missing-id
-    combinations, because the key packs R1 most significant.  Orbit sizes
-    come from group_images, so their sum is an independent check on the
-    enumeration.
+    Returns (reps, orbit sizes, catalog).  Each class is found by dropping
+    one present constraint from a level k - 1 representative and
+    canonicalizing.  Sorting the canonical keys gives the order of first
+    appearance among lexicographic missing-id combinations, because the key
+    packs R1 most significant.  Orbit sizes come from group_images, so their
+    sum is an independent check on the enumeration.
 
     The catalog grows along the way: a closed stuck model with k absences
     is itself a class at level k, so the closed representatives no earlier
-    entry covers are the new entries, taken in mask order.
+    entry carries into are the new entries, taken in mask order.
     """
     board = Board(n)
     if not 0 <= k <= board.num_big:
         raise ValueError(f"n_missing {k} out of range 0..{board.num_big}")
     if k == 0:
-        return (board.full_mask,), (1,), (), ()
-    prev, _, catalog, images = _level(n, k - 1)
+        return (board.full_mask,), (1,), ()
+    prev, _, catalog = _level(n, k - 1)
     keys = set()
     for mask in prev:
         present = mask
@@ -65,28 +64,24 @@ def _level(n: int, k: int):
             keys.add(_canonical_key(n, mask ^ bit))
             present ^= bit
     reps = tuple(_key_to_mask(key, board.num_big) for key in sorted(keys))
-    orbits = []
-    fresh = []
-    for mask in reps:
-        imgs = group_images(ConstraintSet(board, mask))
-        orbits.append(len(imgs))
-        if (k >= 2 and close_mask(n, mask) == mask
-                and not any(_covers(known, mask) for known in images)):
-            fresh.append((mask, imgs))
+    orbits = tuple(len(group_images(ConstraintSet(board, mask)))
+                   for mask in reps)
     if sum(orbits) != math.comb(board.num_big, k):
         raise RuntimeError(
             f"orbit sizes at level {k} sum to {sum(orbits)}, "
             f"not C({board.num_big}, {k})")
-    catalog, images = list(catalog), list(images)
-    for mask, imgs in sorted(fresh, key=lambda item: item[0]):
+    catalog = list(catalog)
+    for mask in sorted(reps):
         cset = ConstraintSet(board, mask)
+        if (k < 2 or close_mask(n, mask) != mask
+                or any(carrier(e.cset, cset) for e in catalog)):
+            continue
         witness = find_witness(cset)
         if witness is None:
             raise RuntimeError(
                 f"stuck fixpoint {cset} has no witness within budget")
         catalog.append(CatalogEntry(cset, witness))
-        images.append(imgs)
-    return reps, tuple(orbits), tuple(catalog), tuple(images)
+    return reps, orbits, tuple(catalog)
 
 
 def enumerate_classes(board: Board, n_missing: int) -> tuple[ConstraintSet, ...]:
@@ -192,8 +187,8 @@ def _run_classification(n: int, n_missing: int):
     board = Board(n)
     start = time.monotonic()
     full = board.full_mask
-    reps, counts, _, _ = _level(n, n_missing)
-    _, _, catalog, images = _level(n, max(2, n_missing))
+    reps, counts, _ = _level(n, n_missing)
+    catalog = _level(n, max(2, n_missing))[2]
     records = []
     for mask, orbit in zip(reps, counts):
         cset = ConstraintSet(board, mask)
@@ -204,10 +199,11 @@ def _run_classification(n: int, n_missing: int):
             records.append(ClassRecord(
                 cset, orbit, SUDOKU, fixpoint, steps, None, None))
             continue
-        entry = next((entry for entry, imgs in zip(catalog, images)
-                      if _covers(imgs, fix_mask)), None)
-        g = entry and carrier(entry.cset, fixpoint)
-        if g is None:
+        for entry in catalog:
+            g = carrier(entry.cset, fixpoint)
+            if g is not None:
+                break
+        else:
             raise RuntimeError(
                 f"fixpoint {fixpoint} of {cset} is not covered by the catalog")
         witness = _checked_witness(g.move(entry.witness), cset)
@@ -223,15 +219,14 @@ def run_classification(board: Board, n_missing: int) -> ClassificationReport:
     """Classify every canonical class with n_missing absent constraints.
 
     Each class is closed under the derivation rules; classes reaching the
-    full set are Sudoku-equivalent.  A stuck class is matched against the
-    minimal catalog, and its counterexample grid is the matching entry's
-    witness moved by a symmetry g with absent(g(entry)) within the absent
-    constraints of the class's fixpoint, then verified against the class
-    and the full model, so every negative verdict is independently
-    checkable.  No search runs here: find_witness runs only for catalog
-    entries.  The catalog holds every closed stuck class up to the horizon,
-    so a fixpoint it does not cover, or one no symmetry carries its entry
-    into, is a RuntimeError.
+    full set are Sudoku-equivalent.  A stuck class matches the first
+    catalog entry with a carrier g into its fixpoint, absent(g(entry))
+    within the fixpoint's absent constraints; its counterexample grid is
+    the entry's witness moved by g, then verified against the class and
+    the full model, so every negative verdict is independently checkable.
+    No search runs here: find_witness runs only for catalog entries.  The
+    catalog holds every closed stuck class up to the horizon, so a
+    fixpoint no entry has a carrier into is a RuntimeError.
     """
     return _run_classification(board.n, n_missing)
 

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .board import Board, ConstraintSet, Grid, region_cells
 from .solver import solve_equal
-from .symmetry import pair_orbits
+from .symmetry import carry_from_root, pair_orbits
 
 CONFIRMED_NEEDED = "confirmed-needed"
 INCONCLUSIVE = "inconclusive"
@@ -192,7 +192,8 @@ def _transport(board: Board, base, source: ProbeRecord, orbits,
     With to_source and to_pair carrying the orbit's root onto the two
     pairs, that symmetry is to_pair after the inverse of to_source.
     """
-    to_source, to_pair = orbits[source.pair][1], orbits[pair][1]
+    to_source = carry_from_root(board, orbits, source.pair)
+    to_pair = carry_from_root(board, orbits, pair)
     witness = to_pair.compose(to_source.inverse()).move(source.witness)
     values = witness.values
     equal = [p for p in base if values[p[0]] == values[p[1]]]

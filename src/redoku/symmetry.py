@@ -60,10 +60,14 @@ class Symmetry:
             for cells in self.board.region_cells_all)
 
     def apply_mask(self, mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self.labels):
-            if mask >> i & 1:
-                out |= 1 << j
+        # Models are mostly present constraints: clear the absent ones'
+        # images from the full mask.
+        full = (1 << len(self.labels)) - 1
+        out, absent = full, full & ~mask
+        while absent:
+            bit = absent & -absent
+            out ^= 1 << self.labels[bit.bit_length() - 1]
+            absent ^= bit
         return out
 
     def apply(self, cset: ConstraintSet) -> ConstraintSet:
@@ -122,43 +126,58 @@ def generators(board: Board) -> tuple[Symmetry, ...]:
 # --- completions: stabilizers and carriers ---------------------------------
 
 
+@lru_cache(maxsize=None)
+def _coarse(n: int) -> tuple[Symmetry, ...]:
+    """The 2 * (n!)^2 coarse elements: an optional transpose, then a band
+    permutation sigma and a stack permutation tau that keep the order of
+    lines inside each band and stack.  Transpose varies slowest, then
+    sigma, then tau; the first completion found in this order decides
+    every carrier."""
+    board, side = Board(n), n * n
+    return tuple(
+        Symmetry(board, transpose,
+                 tuple(sigma[r // n] * n + r % n for r in range(side)),
+                 tuple(tau[c // n] * n + c % n for c in range(side)))
+        for transpose in (False, True)
+        for sigma in permutations(range(n))
+        for tau in permutations(range(n)))
+
+
 def _completions(board: Board, source: int, target: int):
     """Symmetries g with absent(g(source)) within absent(target), at most
-    one per coarse element (transpose, band and stack permutations).
+    one per coarse element.
 
-    The coarse image must keep the target's present boxes.  In each band
+    The coarse image must keep the target's present boxes, and no band or
+    stack of it may have more absent lines than the target's.  In each band
     and stack, a line permutation then pairs the image's lines with the
-    target's, both sorted present lines first; it puts the image's absent
-    lines onto absent lines of the target whenever any line permutation
-    can.  A symmetry keeps the number of absent constraints, so for equal
-    masks the subset is an equality.
+    target's, both sorted present lines first, which puts the image's
+    absent lines onto absent lines of the target.  A symmetry keeps the
+    number of absent constraints, so for equal masks the subset is an
+    equality.
     """
     n, side = board.n, board.side
-    for transpose in (False, True):
-        for sigma in permutations(range(n)):
-            for tau in permutations(range(n)):
-                coarse = Symmetry(
-                    board, transpose,
-                    tuple(sigma[r // n] * n + r % n for r in range(side)),
-                    tuple(tau[c // n] * n + c % n for c in range(side)))
-                image = coarse.apply_mask(source)
-                if target >> 2 * side & ~image >> 2 * side:
-                    continue  # a present box of the target has no source
-                fix = [list(range(side)), list(range(side))]
-                for offset, perm in zip((0, side), fix):
-                    for chute in range(0, side, n):
-                        lines = range(chute, chute + n)
-                        src = sorted(lines,
-                                     key=lambda i: not image >> offset + i & 1)
-                        dst = sorted(lines,
-                                     key=lambda i: not target >> offset + i & 1)
-                        for a, b in zip(src, dst):
-                            perm[a] = b
-                g = Symmetry(board, transpose,
-                             tuple(fix[0][r] for r in coarse.rows),
-                             tuple(fix[1][c] for c in coarse.cols))
-                if target & ~g.apply_mask(source) == 0:
-                    yield g
+    seg = (1 << n) - 1
+    for coarse in _coarse(n):
+        image = coarse.apply_mask(source)
+        if target >> 2 * side & ~image >> 2 * side:
+            continue  # a present box of the target has no source
+        if any((image >> shift & seg).bit_count()
+               < (target >> shift & seg).bit_count()
+               for shift in range(0, 2 * side, n)):
+            continue  # a segment has more absent lines than the target's
+        fix = [list(range(side)), list(range(side))]
+        for offset, perm in zip((0, side), fix):
+            for chute in range(0, side, n):
+                lines = range(chute, chute + n)
+                src = sorted(lines, key=lambda i: not image >> offset + i & 1)
+                dst = sorted(lines, key=lambda i: not target >> offset + i & 1)
+                for a, b in zip(src, dst):
+                    perm[a] = b
+        g = Symmetry(board, coarse.transpose,
+                     tuple(fix[0][r] for r in coarse.rows),
+                     tuple(fix[1][c] for c in coarse.cols))
+        if target & ~g.apply_mask(source) == 0:
+            yield g
 
 
 def carrier(entry: ConstraintSet, cset: ConstraintSet) -> Symmetry | None:
@@ -196,117 +215,88 @@ def pair_orbits(cset: ConstraintSet, pairs) -> dict:
 
     `pairs` holds (a, b) flat-index pairs with a < b and must be mapped onto
     itself by those symmetries, as the model's expanded pair set is.
-    Returns, for each pair, (root, g): root is the smallest pair of its
-    orbit, and g is a symmetry of the stabilizer carrying root onto the
-    pair.  A breadth-first search over the generators builds each orbit and
-    composes the symmetries along the way.
+    Returns, for each pair, (root, g, previous): root is the smallest pair
+    of its orbit, and the generator g carries the pair `previous`, one step
+    nearer the root, onto it; the root has (root, None, None).  A
+    breadth-first search over the generators builds each orbit;
+    carry_from_root composes the steps.
     """
-    board = cset.board
-    ident = tuple(range(board.side))
     gens = stabilizer_generators(cset)
     orbits = {}
     for root in sorted(pairs):
         if root in orbits:
             continue
-        orbits[root] = (root, Symmetry(board, False, ident, ident))
+        orbits[root] = (root, None, None)
         frontier = [root]
         while frontier:
             reached = []
             for a, b in frontier:
-                carry = orbits[a, b][1]
                 for g in gens:
                     x, y = g.cells[a], g.cells[b]
                     image = (x, y) if x < y else (y, x)
                     if image not in orbits:
-                        orbits[image] = (root, g.compose(carry))
+                        orbits[image] = (root, g, (a, b))
                         reached.append(image)
             frontier = reached
     return orbits
 
 
+def carry_from_root(board: Board, orbits: dict, pair) -> Symmetry:
+    """The symmetry of the stabilizer carrying the root of pair's orbit
+    onto pair, composed from the steps pair_orbits recorded."""
+    ident = tuple(range(board.side))
+    carry = Symmetry(board, False, ident, ident)
+    _, g, previous = orbits[pair]
+    while g is not None:
+        carry = carry.compose(g)
+        _, g, previous = orbits[previous]
+    return carry
+
+
 # --- canonical forms -------------------------------------------------------
 #
-# Every group element factors as (optional transpose) then a band permutation
-# sigma, a stack permutation tau, and line permutations inside each band and
-# stack.  For fixed (transpose, sigma, tau) the inner line permutations act
-# independently on disjoint id segments, so the lexicographic minimum is
-# reached by sorting presence bits inside each segment (absent lines get the
-# more significant positions).  Minimizing over the 2 * (n!)^2 coarse
-# elements therefore minimizes over the whole group.
+# Every group element is a coarse element followed by line permutations
+# inside each band and stack.  Those act on disjoint segments of the line
+# ids, so over the elements sharing one coarse part the lexicographically
+# smallest presence vector puts each segment's absent lines first: it is
+# the image key of the coarse image.  The minimum over the 2 * (n!)^2
+# coarse elements is therefore the minimum over the whole group.  Keys
+# pack R1 as the most significant bit.
 
 
-@lru_cache(maxsize=None)
-def _coarse_descriptors(n: int):
-    """Per coarse element: (swap_sides, row segment sources, column segment
-    sources, box bit image)."""
+def _image_key(n: int, image: int) -> int:
+    """Packed key of a coarse image, each segment's absent lines first."""
     side = n * n
-    descs = []
-    for swap in (False, True):
-        for sigma in permutations(range(n)):
-            for tau in permutations(range(n)):
-                src_rows = [0] * n
-                for band in range(n):
-                    src_rows[sigma[band]] = band
-                src_cols = [0] * n
-                for stack in range(n):
-                    src_cols[tau[stack]] = stack
-                bimg = [0] * side
-                for j in range(side):
-                    br, bc = divmod(j, n)
-                    if swap:
-                        br, bc = bc, br
-                    bimg[j] = sigma[br] * n + tau[bc]
-                descs.append((swap, tuple(src_rows), tuple(src_cols), tuple(bimg)))
-    return tuple(descs)
-
-
-def _element_key(n: int, rows: int, cols: int, boxes: int, desc) -> int:
-    side = n * n
-    swap, src_r, src_c, bimg = desc
-    if swap:
-        rows, cols = cols, rows
     seg = (1 << n) - 1
     key = 0
-    for k in range(n):
-        c = bin(rows >> src_r[k] * n & seg).count("1")
-        key |= ((1 << c) - 1) << (3 * side - k * n - n)
-        c = bin(cols >> src_c[k] * n & seg).count("1")
-        key |= ((1 << c) - 1) << (2 * side - k * n - n)
-    for j in range(side):
-        if boxes >> j & 1:
-            key |= 1 << (side - 1 - bimg[j])
-    return key
+    for k in range(2 * n):  # row bands, then column stacks
+        present = (image >> k * n & seg).bit_count()
+        key |= ((1 << present) - 1) << 3 * side - k * n - n
+    # Boxes keep their presence bits, B1 most significant.
+    return key | int(f"{image >> 2 * side:0{side}b}"[::-1], 2)
 
 
 @lru_cache(maxsize=None)
-def _fast_tables(n: int):
-    """Chunk-indexed key tables per coarse element, orders n <= 3 only.
-
-    Key(mask) = TR[row chunk] | TC[col chunk] | TB[box chunk], with the
-    segment sort and bit placement folded in (row/col chunks traded when the
-    element transposes).
-    """
+def _key_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per coarse element, one table per chunk (rows, columns, boxes) of
+    the image keys of that chunk's 2^side values; a mask's key under the
+    element is the OR of its chunks' entries.  A table depends only on
+    where the element sends the chunk's ids, so equal maps share one."""
     side = n * n
-    seg = (1 << n) - 1
-    plain, swapped = [], []
-    for swap, src_r, src_c, bimg in _coarse_descriptors(n):
-        tr, tc, tb = [], [], []
-        for x in range(1 << side):
-            kr = kc = kb = 0
-            for k in range(n):
-                c = bin(x >> src_r[k] * n & seg).count("1")
-                kr |= ((1 << c) - 1) << (3 * side - k * n - n)
-                c = bin(x >> src_c[k] * n & seg).count("1")
-                kc |= ((1 << c) - 1) << (2 * side - k * n - n)
-            for j in range(side):
-                if x >> j & 1:
-                    kb |= 1 << (side - 1 - bimg[j])
-            tr.append(kr)
-            tc.append(kc)
-            tb.append(kb)
-        entry = (tuple(tr), tuple(tc), tuple(tb))
-        (swapped if swap else plain).append(entry)
-    return tuple(plain), tuple(swapped)
+    shared = {}
+    tables = []
+    for g in _coarse(n):
+        per_chunk = []
+        for offset in (0, side, 2 * side):
+            bits = g.labels[offset:offset + side]
+            if bits not in shared:
+                images = [0]  # images[x] = g(x << offset)
+                for bit in bits:
+                    images += [image | 1 << bit for image in images]
+                shared[bits] = tuple(_image_key(n, image) for image in images)
+            per_chunk.append(shared[bits])
+        tables.append(tuple(per_chunk))
+    return tuple(tables)
 
 
 def canonical_key(cset: ConstraintSet) -> int:
@@ -315,20 +305,13 @@ def canonical_key(cset: ConstraintSet) -> int:
 
 
 def _canonical_key(n: int, mask: int) -> int:
+    if n > 3:  # tables of 2^side entries pay off only up to order 3
+        return min(_image_key(n, g.apply_mask(mask)) for g in _coarse(n))
     side = n * n
     chunk = (1 << side) - 1
-    rows = mask & chunk
-    cols = mask >> side & chunk
-    boxes = mask >> 2 * side & chunk
-    if n <= 3:
-        plain, swapped = _fast_tables(n)
-        return min(
-            min(tr[rows] | tc[cols] | tb[boxes] for tr, tc, tb in plain),
-            min(tr[cols] | tc[rows] | tb[boxes] for tr, tc, tb in swapped),
-        )
-    return min(
-        _element_key(n, rows, cols, boxes, desc)
-        for desc in _coarse_descriptors(n))
+    rows, cols, boxes = mask & chunk, mask >> side & chunk, mask >> 2 * side
+    return min(tr[rows] | tc[cols] | tb[boxes]
+               for tr, tc, tb in _key_tables(n))
 
 
 def _key_to_mask(key: int, num_big: int) -> int:
@@ -355,38 +338,19 @@ def _segment_patterns(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def group_images(cset: ConstraintSet) -> frozenset[int]:
-    """Presence masks of every image of the model under the group."""
-    board = cset.board
-    n, side = board.n, board.side
-    chunk = (1 << side) - 1
+    """Presence masks of every image of the model under the group: each
+    coarse image with every arrangement of each segment's lines."""
+    n, side = cset.board.n, cset.board.side
     seg = (1 << n) - 1
-    rows0 = cset.mask & chunk
-    cols0 = cset.mask >> side & chunk
-    boxes0 = cset.mask >> 2 * side & chunk
     pats = _segment_patterns(n)
     images: set[int] = set()
-    for swap, src_r, src_c, bimg in _coarse_descriptors(n):
-        rows, cols = (cols0, rows0) if swap else (rows0, cols0)
-        row_opts = []
-        col_opts = []
-        for k in range(n):
-            c = bin(rows >> src_r[k] * n & seg).count("1")
-            row_opts.append(tuple(p << k * n for p in pats[c]))
-            c = bin(cols >> src_c[k] * n & seg).count("1")
-            col_opts.append(tuple(p << k * n for p in pats[c]))
-        box_img = 0
-        for j in range(side):
-            if boxes0 >> j & 1:
-                box_img |= 1 << bimg[j]
-        box_part = box_img << 2 * side
-        row_chunks = [0]
-        for opts in row_opts:
-            row_chunks = [base | p for base in row_chunks for p in opts]
-        col_chunks = [0]
-        for opts in col_opts:
-            col_chunks = [base | p for base in col_chunks for p in opts]
-        images.update(
-            r | c << side | box_part for r in row_chunks for c in col_chunks)
+    for g in _coarse(n):
+        image = g.apply_mask(cset.mask)
+        partial = [image >> 2 * side << 2 * side]
+        for shift in range(0, 2 * side, n):
+            options = pats[(image >> shift & seg).bit_count()]
+            partial = [base | p << shift for base in partial for p in options]
+        images.update(partial)
     return frozenset(images)
 
 

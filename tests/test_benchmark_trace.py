@@ -35,6 +35,8 @@ def test_traced_classify_counts_witness_searches(tmp_path):
     assert metrics["solver.edits"] > 0
     assert metrics["rewrite.closures"] > 0
     assert metrics["board.verifies"] > 0
+    assert metrics["symmetry.keys"] > 0
+    assert metrics["symmetry.images"] > 0
 
 
 def test_traced_probe_counts_probes(tmp_path):

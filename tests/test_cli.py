@@ -284,6 +284,13 @@ def test_catalog_json(tmp_path, capsys):
     assert len(data[0]["witness"]) == 81
 
 
+def test_catalog_horizon_below_two_is_usage_error(capsys):
+    code, _, err = run_cli_expecting_exit(
+        ["catalog", "--max-missing", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert "at least 2" in err
+
+
 def test_output_to_missing_directory_is_usage_error(capsys):
     code, _, err = run_cli_expecting_exit(
         ["classify", "-n", "1", "--json", "/no/such/dir/report.json"],

@@ -9,9 +9,11 @@ from redoku.board import (Board, ConstraintSet, parse_missing,
                           pattern_solution, region_cells, verify_grid)
 from redoku.pipeline import _covers
 from redoku.smalls import expand_small, sample_probes
-from redoku.symmetry import (Symmetry, canonical_key, canonicalize, carrier,
-                             generators, group_images, group_order,
-                             orbit_size, pair_orbits, stabilizer_generators)
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
+                             canonical_key, canonicalize, carrier,
+                             carry_from_root, generators, group_images,
+                             group_order, orbit_size, pair_orbits,
+                             stabilizer_generators)
 
 
 def bfs_orbit(cset):
@@ -182,7 +184,7 @@ def test_order_two_group(board2):
 
 def orbit_sizes(cset):
     orbits = pair_orbits(cset, expand_small(cset))
-    return sorted(Counter(root for root, _ in orbits.values()).values())
+    return sorted(Counter(root for root, *_ in orbits.values()).values())
 
 
 def test_probe_model_pair_orbits(board):
@@ -205,7 +207,9 @@ def test_full_model_pair_orbits(board):
 def test_orbit_carriers_fix_the_model(board):
     cset = parse_missing(board, "R2,R5,R8,C2,C5,C8")
     present = {frozenset(region_cells(cid, board)) for cid in cset.present_ids}
-    for pair, (root, g) in pair_orbits(cset, expand_small(cset)).items():
+    orbits = pair_orbits(cset, expand_small(cset))
+    for pair, (root, *_) in orbits.items():
+        g = carry_from_root(board, orbits, pair)
         assert g.apply(cset) == cset
         cells = g.cells
         assert tuple(sorted((cells[root[0]], cells[root[1]]))) == pair
@@ -314,3 +318,33 @@ def test_compose_inverse_and_move_act_on_cells(order):
         assert all(out.values[g.cells[c]] == grid.values[c]
                    for c in range(board.num_cells))
         assert verify_grid(out, full) == frozenset()
+
+
+def packed(board, mask):
+    """The presence vector of a mask as a key: R1 most significant."""
+    return sum(1 << board.num_big - 1 - i
+               for i in range(board.num_big) if mask >> i & 1)
+
+
+def test_order_four_keys_and_images_match_bfs():
+    board = Board(4)
+    rng = random.Random(37)
+    masks = [board.full_mask ^ 1 << i for i in range(board.num_big)]
+    masks += [board.full_mask ^ 1 << a ^ 1 << b
+              for a, b in (rng.sample(range(board.num_big), 2)
+                           for _ in range(10))]
+    for mask in masks:
+        cset = ConstraintSet(board, mask)
+        orbit = bfs_orbit(cset)
+        assert canonical_key(cset) == min(packed(board, m) for m in orbit)
+        assert group_images(cset) == orbit
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_key_tables_match_image_keys(order):
+    board = Board(order)
+    rng = random.Random(41)
+    for _ in range(300):
+        mask = rng.getrandbits(board.num_big)
+        assert _canonical_key(order, mask) == min(
+            _image_key(order, g.apply_mask(mask)) for g in _coarse(order))
