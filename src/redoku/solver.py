@@ -619,7 +619,7 @@ def parse_puzzle_line(board: Board, line: str) -> Grid:
     for ch in text:
         if ch in "0.":
             values.append(0)
-        elif ch.isdigit() and 1 <= int(ch) <= board.side:
+        elif "1" <= ch <= str(board.side):
             values.append(int(ch))
         else:
             raise ValueError(f"bad character {ch!r}")
@@ -635,13 +635,13 @@ def read_corpus(path, board: Board | None = None):
     """
     board = board or Board()
     puzzles, errors = [], []
-    with open(path, encoding="ascii") as handle:
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(b"#"):
                 continue
-            try:
-                puzzles.append(parse_puzzle_line(board, line))
+            try:  # a non-ASCII byte is a bad line, like any other
+                puzzles.append(parse_puzzle_line(board, line.decode("ascii")))
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
     return puzzles, errors

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 
 from .board import Board, ConstraintSet, Grid
 
@@ -38,25 +39,26 @@ class Symmetry:
             if any(lines[i] // n != lines[i - i % n] // n for i in range(side)):
                 raise ValueError("line permutation splits a band or stack")
 
+    def _image(self, cell: int) -> int:
+        r, c = divmod(cell, self.board.side)
+        if self.transpose:
+            r, c = c, r
+        return self.rows[r] * self.board.side + self.cols[c]
+
     @cached_property
     def cells(self) -> tuple[int, ...]:
         """cells[c] = the cell that cell c moves to (flat indices)."""
-        side, rows, cols = self.board.side, self.rows, self.cols
-        if self.transpose:
-            return tuple(rows[c] * side + cols[r]
-                         for r in range(side) for c in range(side))
-        return tuple(rows[r] * side + cols[c]
-                     for r in range(side) for c in range(side))
+        return tuple(map(self._image, range(self.board.num_cells)))
 
     @cached_property
     def labels(self) -> tuple[int, ...]:
         """labels[i] = the id of the region that region i moves to.  A
         region's first and last cells share no other region, so it is the
-        one region that holds both their images."""
+        one region that holds both their images (`cells` is not filled)."""
         regions = self.board.cell_region_ids
         return tuple(
-            (set(regions[self.cells[cells[0]]])
-             & set(regions[self.cells[cells[-1]]])).pop()
+            (set(regions[self._image(cells[0])])
+             & set(regions[self._image(cells[-1])])).pop()
             for cells in self.board.region_cells_all)
 
     def apply_mask(self, mask: int) -> int:
@@ -259,9 +261,13 @@ def carry_from_root(board: Board, orbits: dict, pair) -> Symmetry:
 # inside each band and stack.  Those act on disjoint segments of the line
 # ids, so over the elements sharing one coarse part the lexicographically
 # smallest presence vector puts each segment's absent lines first: it is
-# the image key of the coarse image.  The minimum over the 2 * (n!)^2
-# coarse elements is therefore the minimum over the whole group.  Keys
-# pack R1 as the most significant bit.
+# the image key of the coarse image, and the minimum over the group is the
+# minimum over the 2 * (n!)^2 coarse elements.  Keys pack R1 as the most
+# significant bit.  A coarse image's row part depends only on the transpose
+# flag and the band permutation, and is smallest with the bands' present
+# counts ascending; its column part likewise on the flag and the stack
+# permutation.  So _canonical_key finds the minimum in stages: rows, then
+# columns, then the box bits of the elements left.
 
 
 def _image_key(n: int, image: int) -> int:
@@ -276,42 +282,37 @@ def _image_key(n: int, image: int) -> int:
     return key | int(f"{image >> 2 * side:0{side}b}"[::-1], 2)
 
 
-@lru_cache(maxsize=None)
-def _key_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per coarse element, one table per chunk (rows, columns, boxes) of
-    the image keys of that chunk's 2^side values; a mask's key under the
-    element is the OR of its chunks' entries.  A table depends only on
-    where the element sends the chunk's ids, so equal maps share one."""
-    side = n * n
-    shared = {}
-    tables = []
-    for g in _coarse(n):
-        per_chunk = []
-        for offset in (0, side, 2 * side):
-            bits = g.labels[offset:offset + side]
-            if bits not in shared:
-                images = [0]  # images[x] = g(x << offset)
-                for bit in bits:
-                    images += [image | 1 << bit for image in images]
-                shared[bits] = tuple(_image_key(n, image) for image in images)
-            per_chunk.append(shared[bits])
-        tables.append(tuple(per_chunk))
-    return tuple(tables)
-
-
 def canonical_key(cset: ConstraintSet) -> int:
     """Smallest presence vector over the group, packed R1-first."""
     return _canonical_key(cset.board.n, cset.mask)
 
 
 def _canonical_key(n: int, mask: int) -> int:
-    if n > 3:  # tables of 2^side entries pay off only up to order 3
-        return min(_image_key(n, g.apply_mask(mask)) for g in _coarse(n))
-    side = n * n
-    chunk = (1 << side) - 1
-    rows, cols, boxes = mask & chunk, mask >> side & chunk, mask >> 2 * side
-    return min(tr[rows] | tc[cols] | tb[boxes]
-               for tr, tc, tb in _key_tables(n))
+    """The smallest _image_key over the coarse elements, in stages."""
+    side, seg = n * n, (1 << n) - 1
+    counts = [(mask >> k * n & seg).bit_count() for k in range(2 * n)]
+    boxes = f"{mask >> 2 * side:0{side}b}"[::-1]  # B1 first
+    by_band = [boxes[a * n:a * n + n] for a in range(n)]
+    # Transposed, the image's rows come from the stacks, its columns from
+    # the bands, and its box (a, b) from box (b, a).
+    views = ((counts[:n], counts[n:], by_band),
+             (counts[n:], counts[:n], ["".join(s) for s in zip(*by_band)]))
+    heads = [(tuple(sorted(rows)), tuple(sorted(cols)))
+             for rows, cols, _ in views]
+    row_head, col_head = min(heads)
+    # For each stack order that sorts the column counts, bands of equal
+    # count may come in any order, so the smallest box bits list the bands'
+    # boxes, read in that stack order, ascending within each count.
+    picks = [itemgetter(*tau) for tau in permutations(range(n))]
+    best = min(sorted(zip(rows, map(pick, box_rows)))
+               for (rows, cols, box_rows), head in zip(views, heads)
+               if head == (row_head, col_head)
+               for pick in picks if pick(cols) == col_head)
+    image = int("".join("".join(line) for _, line in best)[::-1], 2)
+    image <<= 2 * side
+    for k, present in enumerate(row_head + col_head):
+        image |= ((1 << present) - 1) << k * n
+    return _image_key(n, image)
 
 
 def _key_to_mask(key: int, num_big: int) -> int:

@@ -248,7 +248,7 @@ def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
     assert max(len(climb) for climb in climbs) > 1
 
 
-def test_parse_puzzle_line(board):
+def test_parse_puzzle_line(board, board2):
     line = "1" + "0" * 40 + "." * 40
     grid = parse_puzzle_line(board, line)
     assert grid.get(1, 1) == 1
@@ -257,6 +257,24 @@ def test_parse_puzzle_line(board):
         parse_puzzle_line(board, "123")
     with pytest.raises(ValueError):
         parse_puzzle_line(board, "x" * 81)
+    # Only the ASCII digits 1..side are values: str.isdigit() also accepts
+    # characters such as the superscript two, which int() then rejects.
+    with pytest.raises(ValueError, match="bad character '\u00b2'"):
+        parse_puzzle_line(board, "\u00b2" + "0" * 80)
+    with pytest.raises(ValueError, match="bad character '5'"):
+        parse_puzzle_line(board2, "5" + "0" * 15)
+
+
+def test_read_corpus_reports_a_non_ascii_line(board, tmp_path):
+    good = "1" + "0" * 80
+    path = tmp_path / "corpus.txt"
+    # A UTF-8 e-acute, then 80 blanks; a non-ASCII comment stays ignored.
+    path.write_bytes(good.encode() + b"\n\xc3\xa9" + b"0" * 80
+                     + b"\n# caf\xc3\xa9\n")
+    puzzles, errors = read_corpus(path, board)
+    assert puzzles == [parse_puzzle_line(board, good)]
+    assert [lineno for lineno, _ in errors] == [2]
+    assert "0xc3" in errors[0][1]
 
 
 def test_read_corpus_reports_bad_lines(board, bad_corpus_path):

@@ -7,7 +7,7 @@ from itertools import permutations
 
 from redoku.board import (Board, ConstraintSet, parse_missing,
                           pattern_solution, region_cells, verify_grid)
-from redoku.pipeline import _covers
+from redoku.pipeline import _covers, enumerate_classes
 from redoku.smalls import expand_small, sample_probes
 from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
                              canonical_key, canonicalize, carrier,
@@ -340,11 +340,32 @@ def test_order_four_keys_and_images_match_bfs():
         assert group_images(cset) == orbit
 
 
-@pytest.mark.parametrize("order", [2, 3])
-def test_key_tables_match_image_keys(order):
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_staged_keys_match_image_keys(order):
     board = Board(order)
     rng = random.Random(41)
-    for _ in range(300):
-        mask = rng.getrandbits(board.num_big)
+    masks = [rng.getrandbits(board.num_big)
+             for _ in range(300 if order < 4 else 20)]
+    if order == 3:  # bands, stacks and boxes that tie
+        masks += [parse_missing(board, "R2,R5,R8,C2,C5,C8").mask,
+                  board.full_mask]
+        masks += [cset.mask for cset in enumerate_classes(board, 6)]
+    for mask in masks:
         assert _canonical_key(order, mask) == min(
             _image_key(order, g.apply_mask(mask)) for g in _coarse(order))
+
+
+def test_order_two_keys_are_smallest_images_of_bfs_orbits(board2):
+    """Every order-2 mask, against orbits built by BFS over the generators
+    alone: each key is the smallest packed image of the mask's orbit, and
+    there are as many keys as orbits."""
+    smallest, orbits = {}, 0
+    for mask in range(1 << board2.num_big):
+        if mask not in smallest:
+            orbit = bfs_orbit(ConstraintSet(board2, mask))
+            orbits += 1
+            low = min(packed(board2, m) for m in orbit)
+            smallest.update(dict.fromkeys(orbit, low))
+    keys = {mask: _canonical_key(2, mask) for mask in smallest}
+    assert keys == smallest
+    assert len(set(keys.values())) == orbits
