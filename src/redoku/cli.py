@@ -349,6 +349,8 @@ def main(argv=None) -> int:
     if hasattr(args, "corpus"):
         args.corpus = _resolve_corpus(parser, args.corpus)
     _validate_paths(parser, args)
+    if getattr(args, "budget", 1) < 1:
+        parser.error("--budget must be positive")
     try:
         return _COMMANDS[args.command](parser, args)
     except ValueError as exc:

@@ -2,7 +2,7 @@
 # big (all-different) constraints, extra binary inequalities, forced-equal cell
 # pairs, and given values; outcomes carry search statistics and are always
 # re-verified before being reported.  One equality search, solve_equal, pins a
-# cell pair equal under one restart ladder for both witnesses and probes.
+# cell pair equal under one Luby restart ladder for both witnesses and probes.
 
 import random
 from dataclasses import dataclass
@@ -510,13 +510,30 @@ def _checked_witness(grid: Grid, cset: ConstraintSet) -> Grid:
     return grid
 
 
-# The restart ladder of every equality search: one ascending pass, then
-# shuffled value orders.  Satisfiable instances that stall under one
-# ordering almost always fall quickly to another, so many shallow restarts
-# beat few deep ones.  A rung gets at least MIN_RUNG nodes, so a small
-# budget climbs fewer rungs.
-RESTART_SEEDS = (None,) + tuple(range(15))
-MIN_RUNG = 1000
+# The restart ladder of every blank-board equality search is the universal
+# sequence of Luby, Sinclair and Zuckerman (1993).  Satisfiable instances
+# that stall under one value order almost always fall quickly to another, so
+# many shallow rungs and a rare deep one cut the heavy tail of a deep search.
+LUBY_UNIT = 64
+
+
+def luby(i: int) -> int:
+    """The i-th term, from 1, of the Luby sequence 1, 1, 2, 1, 1, 2, 4, ..."""
+    while i & (i + 1):  # i is not 2^k - 1: skip the first 2^(k-1) - 1 terms
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) // 2
+
+
+def restart_ladder(budget: int) -> list:
+    """(value-order seed, node limit) per rung: rung i gets LUBY_UNIT *
+    luby(i) nodes and seed i - 2, rung 1 is the ascending pass (seed None),
+    and the last rung is cut so that the limits sum to `budget`."""
+    rungs = []
+    while budget > 0:
+        nodes = min(budget, LUBY_UNIT * luby(len(rungs) + 1))
+        rungs.append((len(rungs) - 1 if rungs else None, nodes))
+        budget -= nodes
+    return rungs
 
 
 def solve_equal(bigs: ConstraintSet, pair: CellPair, budget: int,
@@ -524,35 +541,38 @@ def solve_equal(bigs: ConstraintSet, pair: CellPair, budget: int,
     """Search for a grid of the model in which the two cells of `pair`
     hold one value; the first solution wins.
 
-    `budget` bounds the nodes of the whole search.  Without a corpus, the
-    pair is pinned to value 1 (relabeling values maps solutions to
-    solutions, so the pin costs no generality) and the restart ladder
-    splits the budget; a rung proving the instance unsatisfiable ends the
-    search, since a complete search under any value order proves the same.
-    With a corpus, each puzzle in order seeds the search as givens with an
-    equal share of the budget, and only a solution is conclusive.
+    `budget` >= 1 bounds the nodes of the whole search.  Without a corpus,
+    the pair is pinned to value 1 (relabeling values maps solutions to
+    solutions, so the pin costs no generality) and restart_ladder(budget)
+    runs; a rung proving the instance unsatisfiable ends the search, since
+    a complete search under any value order proves the same.  With a
+    corpus, each puzzle in order seeds the search as givens with an equal
+    share of the budget, and only a solution is conclusive.
 
     Returns (outcome with the stats of every attempt summed, corpus index
     of the solving puzzle or None).
     """
+    if budget < 1:
+        raise ValueError(f"node budget must be positive, got {budget}")
     board = bigs.board
+
+    def problem(givens):
+        return make_problem(bigs, extra_smalls=extra_smalls,
+                            equalities=(pair,), givens=givens)
     if corpus:
         share = budget // len(corpus)
-        attempts = [(index, givens, None, share)
-                    for index, givens in enumerate(corpus)]
+        attempts = ((index, problem(givens), None, share)
+                    for index, givens in enumerate(corpus))
     else:
         pin = [0] * board.num_cells
         for row, col in pair:
             pin[board.cell_index(row, col)] = 1
-        pinned = Grid(board, tuple(pin))
-        rungs = max(1, min(len(RESTART_SEEDS), budget // MIN_RUNG))
-        attempts = [(None, pinned, seed, budget // rungs)
-                    for seed in RESTART_SEEDS[:rungs]]
+        pinned = problem(Grid(board, tuple(pin)))
+        attempts = ((None, pinned, seed, limit)
+                    for seed, limit in restart_ladder(budget))
     nodes = propagations = 0
-    for index, givens, value_seed, node_limit in attempts:
-        problem = make_problem(bigs, extra_smalls=extra_smalls,
-                               equalities=(pair,), givens=givens)
-        outcome = solve(problem, budget=node_limit,
+    for index, attempt, value_seed, node_limit in attempts:
+        outcome = solve(attempt, budget=node_limit,
                         value_order_seed=value_seed)
         nodes += outcome.stats.nodes
         propagations += outcome.stats.propagations
@@ -564,10 +584,9 @@ def solve_equal(bigs: ConstraintSet, pair: CellPair, budget: int,
             index if outcome.is_solution else None)
 
 
-# Node budgets of witness search: one climb of the restart ladder at
-# MIN_RUNG-node rungs per pair, then a deeper retry of the pairs that only
-# ran out of budget.
-WITNESS_BUDGET = len(RESTART_SEEDS) * MIN_RUNG
+# Node budgets of witness search: one climb of the restart ladder per pair,
+# then a deeper retry of the pairs that only ran out of budget.
+WITNESS_BUDGET = 16_000
 WITNESS_RETRY_BUDGET = 600_000
 
 

@@ -125,6 +125,25 @@ def test_probe_sample_larger_than_base_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_probe_budget_below_one_is_usage_error(budget, capsys):
+    code, out, err = run_cli_expecting_exit(
+        ["probe", "--missing", "R2,R5,R8,C2,C5,C8", "--sample", "2",
+         "--budget", budget], capsys)
+    assert code == EXIT_USAGE
+    assert "--budget must be positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_solve_budget_below_one_is_usage_error(budget, capsys):
+    code, out, err = run_cli_expecting_exit(
+        ["solve", "--missing", "R1", "--budget", budget], capsys)
+    assert code == EXIT_USAGE
+    assert "--budget must be positive" in err
+    assert out == ""
+
+
 def test_probe_with_corpus(corpus_path, tmp_path, capsys):
     out_path = tmp_path / "probes.jsonl"
     code, out, _ = run_cli(

@@ -154,10 +154,22 @@ def test_unseeded_probe_stays_within_small_budget(board):
     assert record.nodes <= 2_000
 
 
+def test_probe_sweep_has_no_heavy_tail(board):
+    # Every orbit of the model's pairs holds a pair that finishes in a few
+    # dozen nodes, yet one long ascending rung once spent 154,774 nodes on
+    # the 11 searches of this sweep.  Node counts are deterministic.
+    base = expand_small(parse_missing(board, MODEL))
+    records = probe_minimality(board, base, sorted(base))
+    assert sum(r.verdict == CONFIRMED_NEEDED for r in records) == 648
+    searched = [r for r in records if r.provenance == SEARCH]
+    assert len(searched) == 11
+    assert sum(r.nodes for r in searched) <= 20_000
+
+
 def test_exhaustive_unsat_ends_the_probe(board2, monkeypatch):
     # At order 2 propagation alone rules out every full-model pair, and a
     # complete search proves the same under any value order, so the probe
-    # stops after one solve instead of climbing all 16 rungs.
+    # stops after one solve instead of climbing the restart ladder.
     calls = []
     real = redoku.solver.solve
     def solve(*args, **kwargs):

@@ -7,10 +7,11 @@ from helpers import brute_force_satisfiable
 from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           pattern_solution, verify_grid)
 from redoku.smalls import INCONCLUSIVE, expand_small, probe_pair
-from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, SOLUTION,
-                           UNSATISFIABLE, _rectangle_edits, find_witness,
-                           make_problem, modification_witness,
-                           parse_puzzle_line, read_corpus, solve,
+from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
+                           UNSATISFIABLE, WITNESS_BUDGET, _rectangle_edits,
+                           find_witness, luby, make_problem,
+                           modification_witness, parse_puzzle_line,
+                           read_corpus, restart_ladder, solve, solve_equal,
                            witness_pairs)
 
 
@@ -231,14 +232,17 @@ def recording_solves(monkeypatch):
 
 
 def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
-    # A probe that never finds a solution climbs the whole ladder; each
-    # pair of a witness search climbs a prefix of that same ladder.
+    # A probe that never finds a solution climbs the Luby ladder until its
+    # budget is spent; each pair of a witness search climbs a prefix of
+    # that same ladder.
     calls = recording_solves(monkeypatch)
     record = probe_pair(board, expand_small(ConstraintSet.full(board)),
-                        (29, 46), budget=16_000)
+                        (29, 46), budget=WITNESS_BUDGET)
     assert record.verdict == INCONCLUSIVE
     ladder = list(calls)
-    assert len(ladder) == 16 and ladder[0] == (None, 1_000)
+    assert ladder[0] == (None, LUBY_UNIT) == (None, 64)
+    assert sum(nodes for _, nodes in ladder) == record.nodes == WITNESS_BUDGET
+    assert ladder == restart_ladder(WITNESS_BUDGET)
     calls.clear()
     assert find_witness(parse_missing(board, "R1,R4,B1,B5,B7,B8")) is not None
     starts = [i for i, (seed, _) in enumerate(calls) if seed is None]
@@ -246,6 +250,31 @@ def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
     climbs = [calls[i:j] for i, j in zip(starts, starts[1:] + [len(calls)])]
     assert all(climb == ladder[:len(climb)] for climb in climbs)
     assert max(len(climb) for climb in climbs) > 1
+
+
+def test_luby_terms():
+    assert [luby(i) for i in range(1, 16)] == [
+        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("budget", [10, 63, 64, 1_000, 16_000])
+def test_restart_ladder_sums_to_its_budget(budget):
+    ladder = restart_ladder(budget)
+    assert sum(nodes for _, nodes in ladder) == budget
+    assert [seed for seed, _ in ladder] == [None] + list(range(len(ladder) - 1))
+    # Every rung but the last, which is cut, is a Luby term of LUBY_UNIT.
+    assert [nodes for _, nodes in ladder[:-1]] == [
+        LUBY_UNIT * luby(i) for i in range(1, len(ladder))]
+    assert 0 < ladder[-1][1] <= LUBY_UNIT * luby(len(ladder))
+    if budget == 1_000:
+        assert [nodes for _, nodes in ladder] == [
+            64, 64, 128, 64, 64, 128, 256, 64, 64, 104]
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_solve_equal_rejects_a_budget_below_one(board, budget):
+    with pytest.raises(ValueError, match="budget must be positive"):
+        solve_equal(ConstraintSet.full(board), ((1, 1), (2, 4)), budget)
 
 
 def test_parse_puzzle_line(board, board2):

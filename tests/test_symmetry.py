@@ -9,11 +9,11 @@ from redoku.board import (Board, ConstraintSet, parse_missing,
                           pattern_solution, region_cells, verify_grid)
 from redoku.pipeline import _covers, enumerate_classes
 from redoku.smalls import expand_small, sample_probes
-from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
-                             canonical_key, canonicalize, carrier,
-                             carry_from_root, generators, group_images,
-                             group_order, orbit_size, pair_orbits,
-                             stabilizer_generators)
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _coarse_part,
+                             _coarse_product, _image_key, canonical_key,
+                             canonicalize, carrier, carry_from_root,
+                             generators, group_images, group_order,
+                             orbit_size, pair_orbits, stabilizer_generators)
 
 
 def bfs_orbit(cset):
@@ -230,6 +230,23 @@ def test_stabilizer_generators_act_on_regions(board):
             for cid in range(board.num_big):
                 image = {g.cells[c] for c in region_cells(cid, board)}
                 assert image == set(region_cells(g.labels[cid], board))
+
+
+def test_coarse_parts_compose_like_symmetries(board):
+    rng = random.Random(29)
+    for _ in range(200):
+        x, y = random_element(board, rng), random_element(board, rng)
+        assert (_coarse_product(_coarse_part(x), _coarse_part(y))
+                == _coarse_part(x.compose(y)))
+
+
+def test_stabilizer_generators_are_pruned(board):
+    # One completion per admissible coarse element gave 78 and 90
+    # generators; a completion whose coarse part the kept ones already
+    # generate adds nothing, and the line transpositions (6 and 18) stay.
+    assert len(stabilizer_generators(
+        parse_missing(board, "R2,R5,R8,C2,C5,C8"))) == 11
+    assert len(stabilizer_generators(ConstraintSet.full(board))) == 23
 
 
 def test_symmetry_rejects_lines_leaving_their_band(board2):
