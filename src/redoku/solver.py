@@ -6,11 +6,10 @@
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .board import (BOX, COL, ROW, Board, ConstraintSet, Grid,
-                    pattern_solution, region_cells, verify_grid)
+from .board import (Board, ConstraintSet, Grid, pattern_solution,
+                    region_cells, verify_grid)
 from .rewrite import close_mask
 
 SOLUTION = "solution"
@@ -350,94 +349,13 @@ def witness_pairs(cset: ConstraintSet):
                 yield cid, (board.cell_coords(a), board.cell_coords(b))
 
 
-@lru_cache(maxsize=None)
-def _scrambled_base(n: int, seed: int = 0) -> Grid:
-    # A deterministic complete valid grid without the cyclic structure of
-    # pattern_solution; rectangle edits below need value coincidences the
-    # cyclic grid provably lacks.
-    board = Board(n)
-    outcome = solve(make_problem(ConstraintSet.full(board)),
-                    budget=DEFAULT_NODE_BUDGET, value_order_seed=seed)
-    if not outcome.is_solution:
-        raise RuntimeError("could not build a base grid")
-    return outcome.grid
-
-
-@lru_cache(maxsize=None)
-def _rectangle_edits(n: int):
-    # Rectangles (r1,c1,r2,c2) across bands and stacks whose corners hold
-    # value pattern a,b / b,a in a scrambled base grid.  Swapping the pairs
-    # keeps every row and column valid and duplicates values in exactly the
-    # four corner boxes.  One base grid rarely has rectangles in every
-    # band-pair/stack-pair position, so bases are harvested until each
-    # position is covered (or the seeds run out).
-    board = Board(n)
-    side = board.side
-    edits = []
-    covered = set()
-    want = (n * (n - 1) // 2) ** 2
-    for seed in range(16):
-        if len(covered) == want:
-            break
-        grid = _scrambled_base(n, seed)
-        for r1 in range(1, side + 1):
-            for r2 in range(r1 + 1, side + 1):
-                if (r1 - 1) // n == (r2 - 1) // n:
-                    continue
-                for c1 in range(1, side + 1):
-                    for c2 in range(c1 + 1, side + 1):
-                        if (c1 - 1) // n == (c2 - 1) // n:
-                            continue
-                        a = grid.get(r1, c1)
-                        b = grid.get(r1, c2)
-                        if (a == b or grid.get(r2, c2) != a
-                                or grid.get(r2, c1) != b):
-                            continue
-                        violated = 0
-                        for r, c in ((r1, c1), (r1, c2), (r2, c1), (r2, c2)):
-                            violated |= 1 << board.make_id(
-                                BOX, board.box_of(r, c))
-                        if violated in covered:
-                            continue
-                        covered.add(violated)
-                        edits.append((seed, (r1, c1, r2, c2), violated))
-    return tuple(edits)
-
-
-@lru_cache(maxsize=None)
-def _line_swap_edits(n: int):
-    # Swapping two complete rows from different bands keeps rows and columns
-    # valid and duplicates values in all boxes of both bands (the cyclic
-    # pattern grid never repeats a box segment across bands); columns dual.
-    board = Board(n)
-    edits = []
-    for kind in (ROW, COL):
-        for i1 in range(1, board.side + 1):
-            for i2 in range(i1 + 1, board.side + 1):
-                if (i1 - 1) // n == (i2 - 1) // n:
-                    continue
-                violated = 0
-                for group in ((i1 - 1) // n, (i2 - 1) // n):
-                    for j in range(n):
-                        if kind == ROW:
-                            box = group * n + j + 1
-                        else:
-                            box = j * n + group + 1
-                        violated |= 1 << board.make_id(BOX, box)
-                edits.append((kind, i1, i2, violated))
-    return tuple(edits)
-
-
 def modification_witness(cset: ConstraintSet) -> Grid | None:
-    """Constant-time witness search by local edits of a complete valid grid.
+    """Constant-time witness search by local edits of pattern_solution.
 
-    Four edit families, each violating a known set of constraints:
-    overwriting one cell (its three regions), swapping two cells (their
-    unshared regions), swapping rectangle corners holding an a,b/b,a value
-    pattern (the four corner boxes), and swapping two parallel lines across
-    bands or stacks (all boxes of both).  The first edit whose violation
-    set lies inside the model's absent constraints yields a witness with no
-    search at all.
+    Two edit families, each violating a known set of constraints:
+    overwriting one cell (its three regions) and swapping two cells (their
+    unshared regions).  The first edit whose violation set lies inside the
+    model's absent constraints yields a witness with no search at all.
     """
     board = cset.board
     if cset.is_full():
@@ -474,29 +392,6 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
                 continue
             out = grid.with_swapped(board.cell_coords(a), board.cell_coords(b))
             return _checked_witness(out, cset)
-
-    for seed, (r1, c1, r2, c2), violated in _rectangle_edits(board.n):
-        if violated & present:
-            continue
-        base = _scrambled_base(board.n, seed)
-        out = base.with_swapped((r1, c1), (r1, c2))
-        out = out.with_swapped((r2, c1), (r2, c2))
-        return _checked_witness(out, cset)
-
-    for kind, i1, i2, violated in _line_swap_edits(board.n):
-        if violated & present:
-            continue
-        values = list(grid.values)
-        side = board.side
-        for j in range(side):
-            if kind == ROW:
-                pa = board.cell_index(i1, j + 1)
-                pb = board.cell_index(i2, j + 1)
-            else:
-                pa = board.cell_index(j + 1, i1)
-                pb = board.cell_index(j + 1, i2)
-            values[pa], values[pb] = values[pb], values[pa]
-        return _checked_witness(Grid(board, tuple(values)), cset)
 
     return None
 
@@ -547,13 +442,17 @@ def solve_equal(bigs: ConstraintSet, pair: CellPair, budget: int,
     runs; a rung proving the instance unsatisfiable ends the search, since
     a complete search under any value order proves the same.  With a
     corpus, each puzzle in order seeds the search as givens with an equal
-    share of the budget, and only a solution is conclusive.
+    share of the budget, and only a solution is conclusive; a budget below
+    the number of puzzles would leave each a share of 0, and is rejected.
 
     Returns (outcome with the stats of every attempt summed, corpus index
     of the solving puzzle or None).
     """
     if budget < 1:
         raise ValueError(f"node budget must be positive, got {budget}")
+    if corpus and budget < len(corpus):
+        raise ValueError(f"node budget {budget} is below the corpus size "
+                         f"{len(corpus)}: every puzzle needs a node")
     board = bigs.board
 
     def problem(givens):
@@ -599,8 +498,9 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     witness moved by a symmetry.  Models whose derivation closure reaches
     the full set are entailed, so no witness can exist; they short-circuit
     to None without any search.
-    Otherwise constant-time grid edits are tried first, then an equality
-    search on each uncovered in-region cell pair (witness_pairs).  Returns
+    Otherwise constant-time edits of the pattern grid are tried first
+    (modification_witness), then an equality search on each uncovered
+    in-region cell pair (witness_pairs).  Returns
     None when every search is exhausted or over budget; that outcome
     carries no proof either way.
     """

@@ -155,6 +155,19 @@ def test_probe_with_corpus(corpus_path, tmp_path, capsys):
     assert all(r["seed_index"] is not None for r in records)
 
 
+def test_probe_budget_below_corpus_size_is_usage_error(corpus_path, tmp_path,
+                                                       capsys):
+    # Six puzzles cannot share five nodes; no 0-node record is written.
+    out_path = tmp_path / "probes.jsonl"
+    code, _, err = run_cli_expecting_exit(
+        ["probe", "--missing", "R2,R5,R8,C2,C5,C8", "--sample", "2",
+         "--corpus", str(corpus_path), "--budget", "5",
+         "--jsonl", str(out_path)], capsys)
+    assert code == EXIT_USAGE
+    assert "below the corpus size 6" in err
+    assert not out_path.exists()
+
+
 def test_probe_reduce_forwards_budget_and_corpus(tmp_path, monkeypatch,
                                                   capsys):
     corpus_path = tmp_path / "order2.txt"

@@ -143,6 +143,22 @@ def test_catalog_entries_are_subset_minimal(board):
             assert not any(entry.cset.mask & ~img == 0 for img in imgs)
 
 
+def test_order_two_catalog(board2):
+    # Order 2 has 12 constraints, so horizon 12 reaches every model.
+    catalog = minimal_catalog(board2, 12)
+    assert [e.label for e in catalog] == [
+        "R1,R2",
+        "R1,C1,B1",
+        "B1,B2,B3,B4",
+        "R1,R3,B1,B3",
+        "R1,C1,B2,B3,B4",
+    ]
+    full = ConstraintSet.full(board2)
+    for entry in catalog:
+        assert verify_grid(entry.witness, entry.cset) == frozenset()
+        assert verify_grid(entry.witness, full)
+
+
 def test_catalog_rejects_small_horizon(board):
     with pytest.raises(ValueError):
         minimal_catalog(board, 1)

@@ -8,11 +8,10 @@ from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           pattern_solution, verify_grid)
 from redoku.smalls import INCONCLUSIVE, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
-                           UNSATISFIABLE, WITNESS_BUDGET, _rectangle_edits,
-                           find_witness, luby, make_problem,
-                           modification_witness, parse_puzzle_line,
-                           read_corpus, restart_ladder, solve, solve_equal,
-                           witness_pairs)
+                           UNSATISFIABLE, WITNESS_BUDGET, find_witness, luby,
+                           make_problem, modification_witness,
+                           parse_puzzle_line, read_corpus, restart_ladder,
+                           solve, solve_equal, witness_pairs)
 
 
 def test_full_board_solves(board):
@@ -168,22 +167,11 @@ def test_modification_witness_families(board):
     assert grid is not None
     assert verify_grid(grid, cset) == frozenset()
 
-    # four boxes in a rectangle: needs the rectangle-swap family
-    cset = parse_missing(board, "B1,B2,B4,B5")
-    grid = modification_witness(cset)
-    assert grid is not None
-    assert verify_grid(grid, cset) == frozenset()
-
-    # six boxes of two bands: any corner quad inside them works
-    cset = parse_missing(board, "B1,B2,B4,B5,B3,B6")
-    grid = modification_witness(cset)
-    assert grid is not None
-    assert verify_grid(grid, cset) == frozenset()
-
-
-def test_rectangle_edits_cover_all_box_quads(board):
-    quads = {violated for _, _, violated in _rectangle_edits(3)}
-    assert len(quads) == 9
+    # Box quads and two bands of boxes: no one-cell overwrite or two-cell
+    # swap of the pattern grid violates only boxes, so the equality search
+    # of find_witness has to find these.
+    for text in ("B1,B2,B4,B5", "B1,B2,B3,B4,B5,B6"):
+        assert modification_witness(parse_missing(board, text)) is None
 
 
 def test_find_witness_rejects_full_model(board):
@@ -275,6 +263,18 @@ def test_restart_ladder_sums_to_its_budget(budget):
 def test_solve_equal_rejects_a_budget_below_one(board, budget):
     with pytest.raises(ValueError, match="budget must be positive"):
         solve_equal(ConstraintSet.full(board), ((1, 1), (2, 4)), budget)
+
+
+def test_solve_equal_rejects_a_budget_below_the_corpus_size(
+        board, corpus_path):
+    puzzles, _ = read_corpus(corpus_path, board)
+    with pytest.raises(ValueError, match="below the corpus size 6"):
+        solve_equal(ConstraintSet.full(board), ((1, 1), (2, 4)), 5,
+                    corpus=puzzles)
+    # One node per puzzle is the least budget accepted.
+    outcome, _ = solve_equal(ConstraintSet.full(board), ((1, 1), (2, 4)), 6,
+                             corpus=puzzles)
+    assert outcome.stats.nodes <= 6
 
 
 def test_parse_puzzle_line(board, board2):
