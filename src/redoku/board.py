@@ -272,14 +272,6 @@ class Grid:
     def assigned_count(self) -> int:
         return sum(1 for v in self.values if v)
 
-    def with_swapped(self, a: tuple[int, int], b: tuple[int, int]) -> "Grid":
-        """Copy with the values of two (row, col) cells exchanged."""
-        ia = self.board.cell_index(*a)
-        ib = self.board.cell_index(*b)
-        vals = list(self.values)
-        vals[ia], vals[ib] = vals[ib], vals[ia]
-        return Grid(self.board, tuple(vals))
-
     def to_line(self) -> str:
         """One-line text form: digits with 0 for blanks (comma-separated
         when values exceed one digit)."""

@@ -26,7 +26,7 @@ from .pipeline import minimal_catalog, run_classification
 from .rewrite import closure
 from .smalls import (CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET, expand_small,
                      experimental_reduce, probe_minimality, sample_probes)
-from .solver import (DEFAULT_NODE_BUDGET, make_problem, parse_puzzle_line,
+from .solver import (DEFAULT_NODE_BUDGET, SolverProblem, parse_puzzle_line,
                      read_corpus, solve)
 
 EXIT_OK = 0
@@ -52,11 +52,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def common(p):
+    def common(p, seed_for=None):
         p.add_argument("--order", type=int, default=3, metavar="N",
                        help="board order (default 3: a 9x9 board)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="RNG seed where sampling applies (default 0)")
+        if seed_for:
+            p.add_argument("--seed", type=int, default=0,
+                           help=f"RNG seed for {seed_for} (default 0)")
 
     p = sub.add_parser("closure", help="rewrite a model to its fixpoint")
     p.add_argument("--missing", required=True, metavar="LABELS",
@@ -91,7 +92,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reduce", action="store_true",
                    help="afterwards, greedily drop unconfirmed pairs "
                         "(heuristic; drops are candidates, not proofs)")
-    common(p)
+    common(p, seed_for="--sample and --reduce")
 
     p = sub.add_parser("solve", help="solve one problem instance")
     p.add_argument("--missing", default="", metavar="LABELS",
@@ -111,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--shuffle", action="store_true",
                    help="visit values in a seed-shuffled order instead of "
                         "ascending")
-    common(p)
+    common(p, seed_for="--shuffle")
 
     p = sub.add_parser("figure", help="draw a model or a whole run")
     which = p.add_mutually_exclusive_group(required=True)
@@ -251,7 +252,8 @@ def _cmd_probe(parser, args) -> int:
     return EXIT_OK
 
 
-def _parse_equalities(parser, exprs) -> tuple:
+def _parse_equalities(parser, board: Board, exprs) -> tuple:
+    # R,C=R,C text to flat (a, b) pairs; the only place cells come in.
     out = []
     for expr in exprs:
         try:
@@ -260,7 +262,11 @@ def _parse_equalities(parser, exprs) -> tuple:
             r2, c2 = (int(t) for t in rhs.split(","))
         except ValueError:
             parser.error(f"bad --equal (want R,C=R,C): {expr!r}")
-        out.append(((r1, c1), (r2, c2)))
+        # cell_index's range error reaches main as a usage error.
+        a, b = board.cell_index(r1, c1), board.cell_index(r2, c2)
+        if a == b:
+            parser.error(f"--equal pairs cell ({r1},{c1}) with itself")
+        out.append((a, b))
     return tuple(out)
 
 
@@ -283,11 +289,8 @@ def _cmd_solve(parser, args) -> int:
                   f"index {index} out of range", file=sys.stderr)
             return EXIT_IO
         givens = puzzles[index]
-    equalities = _parse_equalities(parser, args.equal)
-    try:
-        problem = make_problem(cset, equalities=equalities, givens=givens)
-    except ValueError as exc:
-        parser.error(str(exc))
+    equalities = _parse_equalities(parser, board, args.equal)
+    problem = SolverProblem(cset, equalities=equalities, givens=givens)
     seed = args.seed if args.shuffle else None
     outcome = solve(problem, budget=args.budget, value_order_seed=seed)
     print(f"status: {outcome.status}")

@@ -48,7 +48,8 @@ def _level(n: int, k: int):
 
     The catalog grows along the way: a closed stuck model with k absences
     is itself a class at level k, so the closed representatives no earlier
-    entry carries into are the new entries, taken in mask order.
+    entry carries into are the new entries, taken in mask order; one whose
+    witness search fails within budget is skipped.
     """
     board = Board(n)
     if not 0 <= k <= board.num_big:
@@ -77,10 +78,8 @@ def _level(n: int, k: int):
                 or any(carrier(e.cset, cset) for e in catalog)):
             continue
         witness = find_witness(cset)
-        if witness is None:
-            raise RuntimeError(
-                f"stuck fixpoint {cset} has no witness within budget")
-        catalog.append(CatalogEntry(cset, witness))
+        if witness is not None:  # else its classes are left unresolved
+            catalog.append(CatalogEntry(cset, witness))
     return reps, orbits, tuple(catalog)
 
 
@@ -204,8 +203,9 @@ def _run_classification(n: int, n_missing: int):
             if g is not None:
                 break
         else:
-            raise RuntimeError(
-                f"fixpoint {fixpoint} of {cset} is not covered by the catalog")
+            records.append(ClassRecord(
+                cset, orbit, UNRESOLVED, fixpoint, steps, None, None))
+            continue
         witness = _checked_witness(g.move(entry.witness), cset)
         records.append(ClassRecord(
             cset, orbit, NOT_SUDOKU, fixpoint, steps, entry.label, witness))
@@ -224,9 +224,10 @@ def run_classification(board: Board, n_missing: int) -> ClassificationReport:
     within the fixpoint's absent constraints; its counterexample grid is
     the entry's witness moved by g, then verified against the class and
     the full model, so every negative verdict is independently checkable.
-    No search runs here: find_witness runs only for catalog entries.  The
-    catalog holds every closed stuck class up to the horizon, so a
-    fixpoint no entry has a carrier into is a RuntimeError.
+    No search runs here: find_witness runs only for catalog entries.  A
+    closed stuck class whose witness search fails within budget is left
+    out of the catalog, so a fixpoint no entry has a carrier into is
+    recorded as unresolved, with no witness.
     """
     return _run_classification(board.n, n_missing)
 

@@ -16,16 +16,8 @@ INCONCLUSIVE = "inconclusive"
 SEARCH = "search"
 
 
-def flat_pair(board: Board, a, b) -> tuple[int, int]:
-    """Canonical key of an unordered cell pair: (min, max) of flat indices."""
-    ia = board.cell_index(*a)
-    ib = board.cell_index(*b)
-    if ia == ib:
-        raise ValueError(f"pair must join two distinct cells, got {tuple(a)} twice")
-    return (ia, ib) if ia < ib else (ib, ia)
-
-
 def pair_cells(board: Board, pair) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The 1-based (row, col) cells of a flat pair, for output."""
     a, b = pair
     return board.cell_coords(a), board.cell_coords(b)
 
@@ -89,8 +81,7 @@ def _decompose(board: Board, rest: frozenset):
             mask |= 1 << cid
             covered |= tables[cid]
     bigs = ConstraintSet(board, mask)
-    extras = tuple(pair_cells(board, p) for p in sorted(rest - covered))
-    return bigs, extras
+    return bigs, tuple(sorted(rest - covered))
 
 
 @dataclass(frozen=True)
@@ -137,8 +128,8 @@ def probe_pair(board: Board, base, pair, corpus=None,
     if pair not in base:
         raise ValueError(f"probe pair {pair} is not in the base set")
     bigs, extras = _decompose(board, frozenset(base - {pair}))
-    outcome, index = solve_equal(bigs, pair_cells(board, pair), budget,
-                                 extra_smalls=extras, corpus=corpus)
+    outcome, index = solve_equal(bigs, pair, budget, extra_smalls=extras,
+                                 corpus=corpus)
     verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
     return ProbeRecord(pair, verdict, outcome.grid, outcome.stats.nodes,
                        outcome.stats.propagations, index)

@@ -3,6 +3,7 @@
 # pairs, and given values; outcomes carry search statistics and are always
 # re-verified before being reported.  One equality search, solve_equal, pins a
 # cell pair equal under one Luby restart ladder for both witnesses and probes.
+# A cell pair is always (a, b) of flat cell indices, row-major from 0.
 
 import random
 from dataclasses import dataclass
@@ -18,45 +19,24 @@ BUDGET = "budget"
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-Cell = tuple[int, int]
-CellPair = tuple[Cell, Cell]
-
-
-def normalize_pair(a, b) -> CellPair:
-    """Canonical unordered pair of (row, col) cells."""
-    a, b = (tuple(a), tuple(b))
-    if a == b:
-        raise ValueError(f"pair must join two distinct cells, got {a} twice")
-    return (a, b) if a <= b else (b, a)
-
 
 @dataclass(frozen=True)
 class SolverProblem:
-    """Immutable problem statement handed to solve()."""
+    """Immutable problem statement handed to solve(); extra_smalls
+    (inequalities) and equalities hold flat (a, b) cell pairs."""
 
-    board: Board
     bigs: ConstraintSet
-    extra_smalls: frozenset
-    equalities: frozenset
+    extra_smalls: tuple = ()
+    equalities: tuple = ()
     givens: Grid | None = None
 
+    def __post_init__(self):
+        if self.givens is not None and self.givens.board != self.board:
+            raise ValueError("givens grid belongs to a different board")
 
-def make_problem(bigs: ConstraintSet, extra_smalls=(), equalities=(),
-                 givens: Grid | None = None) -> SolverProblem:
-    """Build a SolverProblem with normalized pair sets.
-
-    Pairs are given as ((row, col), (row, col)) tuples, 1-based.  Givens,
-    when present, must belong to the same board as the constraint set.
-    """
-    board = bigs.board
-    if givens is not None and givens.board != board:
-        raise ValueError("givens grid belongs to a different board")
-    smalls = frozenset(normalize_pair(a, b) for a, b in extra_smalls)
-    eqs = frozenset(normalize_pair(a, b) for a, b in equalities)
-    for (ra, ca), (rb, cb) in smalls | eqs:
-        board.cell_index(ra, ca)
-        board.cell_index(rb, cb)
-    return SolverProblem(board, bigs, smalls, eqs, givens)
+    @property
+    def board(self) -> Board:
+        return self.bigs.board
 
 
 @dataclass(frozen=True)
@@ -95,9 +75,8 @@ class _Engine:
                 x = parent[x]
             return x
 
-        for (ra, ca), (rb, cb) in sorted(problem.equalities):
-            a = find(board.cell_index(ra, ca))
-            b = find(board.cell_index(rb, cb))
+        for a, b in problem.equalities:
+            a, b = find(a), find(b)
             if a != b:
                 if a > b:
                     a, b = b, a
@@ -126,9 +105,8 @@ class _Engine:
             for a, b in combinations(set(members), 2):
                 neighbors[a].add(b)
                 neighbors[b].add(a)
-        for (ra, ca), (rb, cb) in problem.extra_smalls:
-            a = self.var_of[board.cell_index(ra, ca)]
-            b = self.var_of[board.cell_index(rb, cb)]
+        for a, b in problem.extra_smalls:
+            a, b = self.var_of[a], self.var_of[b]
             if a == b:
                 # The inequality's endpoints were forced equal.
                 self.degenerate = True
@@ -290,16 +268,16 @@ def _check_solution(problem: SolverProblem, grid: Grid) -> None:
     # Internal guard: a reported solution is re-verified from scratch.
     if verify_grid(grid, problem.bigs):
         raise RuntimeError("solver produced a grid violating a big constraint")
-    board = problem.board
-    for (ra, ca), (rb, cb) in problem.extra_smalls:
-        if grid.get(ra, ca) == grid.get(rb, cb):
+    values = grid.values
+    for a, b in problem.extra_smalls:
+        if values[a] == values[b]:
             raise RuntimeError("solver produced a grid violating an inequality")
-    for (ra, ca), (rb, cb) in problem.equalities:
-        if grid.get(ra, ca) != grid.get(rb, cb):
+    for a, b in problem.equalities:
+        if values[a] != values[b]:
             raise RuntimeError("solver produced a grid breaking a forced equality")
     if problem.givens is not None:
         for cell, value in enumerate(problem.givens.values):
-            if value and grid.values[cell] != value:
+            if value and values[cell] != value:
                 raise RuntimeError("solver produced a grid not extending the givens")
 
 
@@ -336,7 +314,8 @@ def witness_pairs(cset: ConstraintSet):
     """Probe pairs for find_witness, in deterministic order.
 
     For each absent constraint (ascending id), every cell pair inside its
-    region that no present constraint covers, in lexicographic cell order.
+    region that no present constraint covers, as a flat (a, b) with a < b,
+    in ascending order.
     """
     board = cset.board
     cell_regions = board.cell_region_ids
@@ -346,7 +325,7 @@ def witness_pairs(cset: ConstraintSet):
                 r in cell_regions[b] and cset.contains(r)
                 for r in cell_regions[a])
             if not covered:
-                yield cid, (board.cell_coords(a), board.cell_coords(b))
+                yield cid, (a, b)
 
 
 def modification_witness(cset: ConstraintSet) -> Grid | None:
@@ -390,8 +369,9 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
                     violated |= 1 << cid
             if violated & present:
                 continue
-            out = grid.with_swapped(board.cell_coords(a), board.cell_coords(b))
-            return _checked_witness(out, cset)
+            values = list(grid.values)
+            values[a], values[b] = values[b], values[a]
+            return _checked_witness(Grid(board, tuple(values)), cset)
 
     return None
 
@@ -431,10 +411,11 @@ def restart_ladder(budget: int) -> list:
     return rungs
 
 
-def solve_equal(bigs: ConstraintSet, pair: CellPair, budget: int,
+def solve_equal(bigs: ConstraintSet, pair: tuple[int, int], budget: int,
                 extra_smalls=(), corpus=None):
-    """Search for a grid of the model in which the two cells of `pair`
-    hold one value; the first solution wins.
+    """Search for a grid of the model in which the two cells of `pair`, a
+    flat (a, b) like every pair of `extra_smalls`, hold one value; the first
+    solution wins.
 
     `budget` >= 1 bounds the nodes of the whole search.  Without a corpus,
     the pair is pinned to value 1 (relabeling values maps solutions to
@@ -456,17 +437,14 @@ def solve_equal(bigs: ConstraintSet, pair: CellPair, budget: int,
     board = bigs.board
 
     def problem(givens):
-        return make_problem(bigs, extra_smalls=extra_smalls,
-                            equalities=(pair,), givens=givens)
+        return SolverProblem(bigs, extra_smalls, (pair,), givens)
     if corpus:
         share = budget // len(corpus)
         attempts = ((index, problem(givens), None, share)
                     for index, givens in enumerate(corpus))
     else:
-        pin = [0] * board.num_cells
-        for row, col in pair:
-            pin[board.cell_index(row, col)] = 1
-        pinned = problem(Grid(board, tuple(pin)))
+        pin = tuple(int(cell in pair) for cell in range(board.num_cells))
+        pinned = problem(Grid(board, pin))
         attempts = ((None, pinned, seed, limit)
                     for seed, limit in restart_ladder(budget))
     nodes = propagations = 0

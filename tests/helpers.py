@@ -26,11 +26,9 @@ def brute_force_satisfiable(problem: SolverProblem) -> bool:
         grid = Grid(board, tuple(values))
         if verify_grid(grid, problem.bigs):
             continue
-        if any(values[board.cell_index(*p)] == values[board.cell_index(*q)]
-               for p, q in problem.extra_smalls):
+        if any(values[a] == values[b] for a, b in problem.extra_smalls):
             continue
-        if any(values[board.cell_index(*p)] != values[board.cell_index(*q)]
-               for p, q in problem.equalities):
+        if any(values[a] != values[b] for a, b in problem.equalities):
             continue
         return True
     return False

@@ -18,7 +18,7 @@ from redoku.pipeline import (NOT_SUDOKU, enumerate_classes, minimal_catalog,
 from redoku.rewrite import applicable_steps, closure
 from redoku.smalls import (CONFIRMED_NEEDED, expand_small, probe_minimality,
                            sample_probes)
-from redoku.solver import make_problem, solve
+from redoku.solver import SolverProblem, solve
 from redoku.symmetry import Symmetry, canonical_key, generators, group_images
 
 BOARD = Board(3)
@@ -231,15 +231,11 @@ def test_criterion_7_property_suites():
                             else rng.randint(1, 4))
         extras, eqs = [], []
         if rng.random() < 0.5:
-            cells = rng.sample(range(16), 2)
-            extras.append((board2.cell_coords(cells[0]),
-                           board2.cell_coords(cells[1])))
+            extras.append(tuple(rng.sample(range(16), 2)))
         if rng.random() < 0.5:
-            cells = rng.sample(range(16), 2)
-            eqs.append((board2.cell_coords(cells[0]),
-                       board2.cell_coords(cells[1])))
-        problem = make_problem(bigs, extra_smalls=extras, equalities=eqs,
-                               givens=Grid(board2, tuple(values)))
+            eqs.append(tuple(rng.sample(range(16), 2)))
+        problem = SolverProblem(bigs, tuple(extras), tuple(eqs),
+                                Grid(board2, tuple(values)))
         outcome = solve(problem)
         assert outcome.status in ("solution", "unsatisfiable")
         assert outcome.is_solution == brute_force_satisfiable(problem)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import redoku.pipeline
 from redoku.cli import (CORPUS_ENV, EXIT_IO, EXIT_OK, EXIT_UNRESOLVED,
                         EXIT_USAGE, main)
 
@@ -264,6 +265,59 @@ def test_solve_bad_equality_is_usage_error(capsys):
         ["solve", "--equal", "nonsense"], capsys)
     assert code == EXIT_USAGE
     assert "nonsense" in err
+
+
+@pytest.mark.parametrize("expr, cell", [("1,1=1,1", "(1,1)"),
+                                        ("1,1=10,1", "(10,1)")])
+def test_solve_equality_outside_the_board_or_on_one_cell(expr, cell, capsys):
+    # --equal is the only place cell coordinates enter the program, so the
+    # command line checks them and names the offending cell.
+    code, out, err = run_cli_expecting_exit(["solve", "--equal", expr],
+                                            capsys)
+    assert code == EXIT_USAGE
+    assert cell in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["closure", "--missing", "B2"], ["classify", "-n", "1"],
+    ["figure", "--missing", "B2"], ["catalog"]])
+def test_seed_is_only_for_probe_and_solve(command, capsys):
+    code, _, err = run_cli_expecting_exit(command + ["--seed", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert "--seed" in err
+
+
+@pytest.fixture
+def fresh_pipeline_caches():
+    # A patched witness search must neither read a catalog cached before it
+    # nor leave its witness-less catalog to the tests after it.
+    caches = (redoku.pipeline._level, redoku.pipeline._run_classification)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_missed_catalog_witness_leaves_classes_unresolved(
+        fresh_pipeline_caches, monkeypatch, tmp_path, capsys):
+    # With no catalog witness, a stuck class has no counterexample to take:
+    # it is reported unresolved with exit 2, and the run still finishes.
+    monkeypatch.setattr(redoku.pipeline, "find_witness", lambda cset: None)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(["classify", "--order", "2", "-n", "2",
+                              "--json", str(out_path)], capsys)
+    assert code == EXIT_UNRESOLVED
+    assert "catalog entries: 0" in out
+    report = json.loads(out_path.read_text())
+    unresolved = [r for r in report["classes"] if r["verdict"] == "unresolved"]
+    assert report["unresolved_count"] == len(unresolved) > 0
+    assert all(r["witness"] is None and r["catalog_match"] is None
+               for r in unresolved)
+    assert err.splitlines() == (
+        [f"unresolved classes ({len(unresolved)}):"]
+        + [f"  missing {r['missing']}" for r in unresolved])
 
 
 def test_figure_ascii_to_stdout(capsys):

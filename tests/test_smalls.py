@@ -6,9 +6,9 @@ import redoku.smalls
 import redoku.solver
 from redoku.board import ConstraintSet, parse_missing
 from redoku.smalls import (CONFIRMED_NEEDED, INCONCLUSIVE, SEARCH, _decompose,
-                           expand_small, experimental_reduce, flat_pair,
-                           pair_cells, probe_minimality, probe_pair,
-                           sample_probes, small_count_range)
+                           expand_small, experimental_reduce, pair_cells,
+                           probe_minimality, probe_pair, sample_probes,
+                           small_count_range)
 from redoku.solver import read_corpus
 from redoku.symmetry import pair_orbits
 
@@ -44,11 +44,10 @@ def test_expansion_is_monotone(board):
     assert smaller < bigger
 
 
-def test_flat_pair_normalizes(board):
-    assert flat_pair(board, (1, 2), (1, 1)) == (0, 1)
+def test_pair_cells_of_a_flat_pair(board, board2):
     assert pair_cells(board, (0, 1)) == ((1, 1), (1, 2))
-    with pytest.raises(ValueError):
-        flat_pair(board, (3, 3), (3, 3))
+    assert pair_cells(board, (10, 80)) == ((2, 2), (9, 9))
+    assert pair_cells(board2, (5, 15)) == ((2, 2), (4, 4))
 
 
 def test_small_count_range(board):
@@ -82,9 +81,10 @@ def test_decompose_splits_regions_and_leftovers(board):
     # regions to leftover pairs; the other present regions survive.
     assert bigs.num_missing == 8
     assert extras
-    recovered = set()
-    for p, q in extras:
-        recovered.add(flat_pair(board, p, q))
+    # Leftovers are flat pairs, smaller cell first, in ascending order.
+    assert list(extras) == sorted(extras)
+    assert all(p < q for p, q in extras)
+    recovered = set(extras)
     assert pair not in recovered
     full_again = expand_small(bigs) | recovered
     assert full_again == base - {pair}
@@ -92,7 +92,7 @@ def test_decompose_splits_regions_and_leftovers(board):
 
 def test_probe_pair_confirms_needed(board):
     base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
-    pair = flat_pair(board, (1, 1), (1, 2))
+    pair = (board.cell_index(1, 1), board.cell_index(1, 2))
     record = probe_pair(board, base, pair)
     assert record.verdict == CONFIRMED_NEEDED
     assert record.witness is not None
@@ -107,13 +107,14 @@ def test_probe_pair_rejects_foreign_pair(board):
     # Cells sharing only the absent row R2 are covered by no present
     # region, so their pair is outside the base set.
     with pytest.raises(ValueError):
-        probe_pair(board, base, flat_pair(board, (2, 1), (2, 5)))
+        probe_pair(board, base,
+                   (board.cell_index(2, 1), board.cell_index(2, 5)))
 
 
 def test_probe_with_corpus_seeds(board, corpus_path):
     puzzles, _ = read_corpus(corpus_path, board)
     base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
-    pair = flat_pair(board, (5, 1), (5, 2))
+    pair = (board.cell_index(5, 1), board.cell_index(5, 2))
     record = probe_pair(board, base, pair, corpus=puzzles)
     assert record.verdict == CONFIRMED_NEEDED
     assert record.seed_index is not None
@@ -124,7 +125,7 @@ def test_corpus_probe_shares_one_budget(board, corpus_path):
     # whole budget per puzzle this pair spent more than the budget.
     puzzles, _ = read_corpus(corpus_path, board)
     base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
-    pair = flat_pair(board, (4, 2), (4, 6))
+    pair = (board.cell_index(4, 2), board.cell_index(4, 6))
     assert pair == (28, 32)
     record = probe_pair(board, base, pair, corpus=puzzles)
     assert record.verdict == CONFIRMED_NEEDED
@@ -277,7 +278,7 @@ def test_probe_minimality_with_corpus_searches_every_pair(board, corpus_path):
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     orbits = pair_orbits(cset, base)
-    pair = flat_pair(board, (5, 1), (5, 2))
+    pair = (board.cell_index(5, 1), board.cell_index(5, 2))
     same_orbit = [p for p in sorted(base)
                   if orbits[p][0] == orbits[pair][0]][:2]
     records = probe_minimality(board, base, same_orbit, corpus=puzzles)
@@ -300,7 +301,8 @@ def test_probe_minimality_of_a_pair_subset_searches_every_pair(board,
 def test_probe_minimality_rejects_foreign_pair(board):
     base = expand_small(parse_missing(board, MODEL))
     with pytest.raises(ValueError):
-        probe_minimality(board, base, [flat_pair(board, (2, 1), (2, 5))])
+        probe_minimality(board, base,
+                         [(board.cell_index(2, 1), board.cell_index(2, 5))])
 
 
 def test_probe_minimality_runs_all(board):

@@ -8,14 +8,14 @@ from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           pattern_solution, verify_grid)
 from redoku.smalls import INCONCLUSIVE, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
-                           UNSATISFIABLE, WITNESS_BUDGET, find_witness, luby,
-                           make_problem, modification_witness,
+                           UNSATISFIABLE, WITNESS_BUDGET, SolverProblem,
+                           find_witness, luby, modification_witness,
                            parse_puzzle_line, read_corpus, restart_ladder,
                            solve, solve_equal, witness_pairs)
 
 
 def test_full_board_solves(board):
-    outcome = solve(make_problem(ConstraintSet.full(board)))
+    outcome = solve(SolverProblem(ConstraintSet.full(board)))
     assert outcome.status == SOLUTION
     assert verify_grid(outcome.grid, ConstraintSet.full(board)) == frozenset()
 
@@ -26,7 +26,7 @@ def test_corpus_puzzle_solution_extends_givens(board, corpus_path):
     assert len(puzzles) == 6
     givens = puzzles[0]
     assert givens.assigned_count() == 17
-    outcome = solve(make_problem(ConstraintSet.full(board), givens=givens))
+    outcome = solve(SolverProblem(ConstraintSet.full(board), givens=givens))
     assert outcome.status == SOLUTION
     for cell, val in enumerate(givens.values):
         if val:
@@ -34,18 +34,19 @@ def test_corpus_puzzle_solution_extends_givens(board, corpus_path):
 
 
 def test_same_row_equality_unsatisfiable(board):
-    problem = make_problem(ConstraintSet.full(board),
-                           equalities=(((1, 1), (1, 2)),))
+    # Pairs are flat cell indices: cells 0 and 1 are (1,1) and (1,2).
+    problem = SolverProblem(ConstraintSet.full(board),
+                            equalities=((0, 1),))
     outcome = solve(problem)
     assert outcome.status == UNSATISFIABLE
     assert outcome.stats.degenerate
 
 
 def test_equality_inside_present_region_flags_degenerate(board):
-    # Cells (5,1) and (5,2) share a present row even when their columns
-    # are absent, so forcing them equal contradicts the model itself.
-    problem = make_problem(parse_missing(board, "C1,C2"),
-                           equalities=(((5, 1), (5, 2)),))
+    # Cells (5,1) and (5,2), flat 36 and 37, share a present row even when
+    # their columns are absent, so forcing them equal contradicts the model.
+    problem = SolverProblem(parse_missing(board, "C1,C2"),
+                            equalities=((36, 37),))
     outcome = solve(problem)
     assert outcome.status == UNSATISFIABLE
     assert outcome.stats.degenerate
@@ -53,10 +54,10 @@ def test_equality_inside_present_region_flags_degenerate(board):
 
 
 def test_equality_across_absent_column_solves(board):
-    # With C1 absent, two cells that share only that column may coincide;
-    # the solver must exhibit a grid doing so.
-    problem = make_problem(parse_missing(board, "C1,C2"),
-                           equalities=(((1, 1), (4, 1)),))
+    # With C1 absent, (1,1) and (4,1), flat 0 and 27, share only that
+    # column and may coincide; the solver must exhibit a grid doing so.
+    problem = SolverProblem(parse_missing(board, "C1,C2"),
+                            equalities=((0, 27),))
     outcome = solve(problem)
     assert outcome.status == SOLUTION
     grid = outcome.grid
@@ -70,42 +71,60 @@ def test_givens_conflict_is_unsatisfiable(board):
     values = [0] * 81
     values[board.cell_index(1, 1)] = 5
     values[board.cell_index(1, 9)] = 5
-    problem = make_problem(ConstraintSet.full(board),
-                           givens=Grid(board, tuple(values)))
+    problem = SolverProblem(ConstraintSet.full(board),
+                            givens=Grid(board, tuple(values)))
     outcome = solve(problem)
     assert outcome.status == UNSATISFIABLE
 
 
+def test_pair_order_does_not_change_the_search(board):
+    # Flat pairs are taken as given, not normalized: (a, b) and (b, a)
+    # must give the same grid and the same statistics.
+    cset = parse_missing(board, "C1,C2")
+    outcomes = [solve(SolverProblem(cset, extra_smalls=(smalls,),
+                                    equalities=(eq,)), value_order_seed=2)
+                for smalls, eq in (((1, 28), (0, 27)), ((28, 1), (27, 0)))]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0].is_solution
+
+
+def test_problem_rejects_givens_of_another_board(board, board2):
+    with pytest.raises(ValueError, match="different board"):
+        SolverProblem(ConstraintSet.full(board),
+                      givens=Grid(board2, (0,) * 16))
+    assert SolverProblem(ConstraintSet.full(board2)).board == board2
+
+
 def test_budget_outcome_is_reported(board):
-    problem = make_problem(ConstraintSet.full(board))
+    problem = SolverProblem(ConstraintSet.full(board))
     outcome = solve(problem, budget=0)
     assert outcome.status == BUDGET
     assert outcome.grid is None
 
 
 def test_extra_smalls_are_enforced(board2):
-    # Forbid the two diagonal corners from agreeing on top of the full
-    # model; the solver must still find a grid.
-    problem = make_problem(ConstraintSet.full(board2),
-                           extra_smalls=(((1, 1), (4, 4)),))
+    # Forbid the two diagonal corners, flat 0 and 15, from agreeing on top
+    # of the full model; the solver must still find a grid.
+    problem = SolverProblem(ConstraintSet.full(board2),
+                            extra_smalls=((0, 15),))
     outcome = solve(problem)
     assert outcome.status == SOLUTION
     assert outcome.grid.get(1, 1) != outcome.grid.get(4, 4)
 
 
 def test_solution_stats_count_decisions(board):
-    outcome = solve(make_problem(ConstraintSet.full(board)))
+    outcome = solve(SolverProblem(ConstraintSet.full(board)))
     assert outcome.stats.nodes >= 0
     assert outcome.stats.propagations > 0
 
 
 def test_value_order_seed_changes_solution_not_validity(board):
     full = ConstraintSet.full(board)
-    plain = solve(make_problem(full))
-    shuffled = solve(make_problem(full), value_order_seed=3)
+    plain = solve(SolverProblem(full))
+    shuffled = solve(SolverProblem(full), value_order_seed=3)
     assert plain.status == shuffled.status == SOLUTION
     assert verify_grid(shuffled.grid, full) == frozenset()
-    repeat = solve(make_problem(full), value_order_seed=3)
+    repeat = solve(SolverProblem(full), value_order_seed=3)
     assert repeat.grid == shuffled.grid
 
 
@@ -123,15 +142,11 @@ def test_solver_matches_brute_force_on_small_boards(board2):
         extras = []
         eqs = []
         if rng.random() < 0.5:
-            cells = rng.sample(range(16), 2)
-            extras.append((board2.cell_coords(cells[0]),
-                           board2.cell_coords(cells[1])))
+            extras.append(tuple(rng.sample(range(16), 2)))
         if rng.random() < 0.5:
-            cells = rng.sample(range(16), 2)
-            eqs.append((board2.cell_coords(cells[0]),
-                        board2.cell_coords(cells[1])))
-        problem = make_problem(bigs, extra_smalls=extras, equalities=eqs,
-                               givens=Grid(board2, tuple(values)))
+            eqs.append(tuple(rng.sample(range(16), 2)))
+        problem = SolverProblem(bigs, tuple(extras), tuple(eqs),
+                                Grid(board2, tuple(values)))
         outcome = solve(problem)
         assert outcome.status in (SOLUTION, UNSATISFIABLE)
         assert outcome.is_solution == brute_force_satisfiable(problem)
@@ -149,8 +164,8 @@ def test_witness_pairs_order(board):
     # Pairs already covered by a present region are left out: same-box
     # column neighbors stay covered by their box.
     for cid, (p, q) in pairs:
-        assert p[1] == q[1]  # both cells in the absent column
-        assert (p[0] - 1) // 3 != (q[0] - 1) // 3  # never in one box
+        assert p % 9 == q % 9  # both cells in the absent column
+        assert p // 27 != q // 27  # never in one box
 
 
 def test_modification_witness_families(board):
@@ -262,17 +277,17 @@ def test_restart_ladder_sums_to_its_budget(budget):
 @pytest.mark.parametrize("budget", [0, -5])
 def test_solve_equal_rejects_a_budget_below_one(board, budget):
     with pytest.raises(ValueError, match="budget must be positive"):
-        solve_equal(ConstraintSet.full(board), ((1, 1), (2, 4)), budget)
+        solve_equal(ConstraintSet.full(board), (0, 12), budget)
 
 
 def test_solve_equal_rejects_a_budget_below_the_corpus_size(
         board, corpus_path):
     puzzles, _ = read_corpus(corpus_path, board)
     with pytest.raises(ValueError, match="below the corpus size 6"):
-        solve_equal(ConstraintSet.full(board), ((1, 1), (2, 4)), 5,
+        solve_equal(ConstraintSet.full(board), (0, 12), 5,
                     corpus=puzzles)
     # One node per puzzle is the least budget accepted.
-    outcome, _ = solve_equal(ConstraintSet.full(board), ((1, 1), (2, 4)), 6,
+    outcome, _ = solve_equal(ConstraintSet.full(board), (0, 12), 6,
                              corpus=puzzles)
     assert outcome.stats.nodes <= 6
 
