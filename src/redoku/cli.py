@@ -97,12 +97,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve one problem instance")
     p.add_argument("--missing", default="", metavar="LABELS",
                    help="absent big constraints (default: none)")
-    p.add_argument("--givens", metavar="LINE",
-                   help="puzzle line: side^2 chars, digits for givens, "
-                        "0 or . for blanks")
-    p.add_argument("--corpus", nargs="?", const=_CORPUS_FROM_ENV,
-                   metavar="PATH",
-                   help=f"take givens from a corpus (default ${CORPUS_ENV})")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--givens", metavar="LINE",
+                       help="puzzle line: side^2 chars, digits for givens, "
+                            "0 or . for blanks")
+    which.add_argument("--corpus", nargs="?", const=_CORPUS_FROM_ENV,
+                       metavar="PATH",
+                       help="take givens from a corpus "
+                            f"(default ${CORPUS_ENV})")
     p.add_argument("--index", type=int, default=0,
                    help="which corpus puzzle to solve (default 0)")
     p.add_argument("--equal", action="append", default=[], metavar="R,C=R,C",

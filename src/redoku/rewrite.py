@@ -89,20 +89,5 @@ def closure(cset: ConstraintSet) -> tuple[ConstraintSet, tuple[Step, ...]]:
 
 
 def close_mask(n: int, mask: int) -> int:
-    """Closure fixpoint on a bare presence mask (hot path, no trace)."""
-    tables = _chute_tables(n)
-    changed = True
-    while changed:
-        changed = False
-        for _, lmask, bmask in tables:
-            if mask & lmask == lmask:
-                gap = bmask & ~mask
-                if gap and gap & (gap - 1) == 0:
-                    mask |= gap
-                    changed = True
-            if mask & bmask == bmask:
-                gap = lmask & ~mask
-                if gap and gap & (gap - 1) == 0:
-                    mask |= gap
-                    changed = True
-    return mask
+    """The closure fixpoint of a bare presence mask."""
+    return closure(ConstraintSet(Board(n), mask))[0].mask

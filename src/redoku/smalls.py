@@ -197,8 +197,7 @@ def _transport(board: Board, base, source: ProbeRecord, orbits,
 
 
 def experimental_reduce(board: Board, base, seed: int = 0,
-                        budget: int = 50_000, max_drops: int | None = None,
-                        corpus=None):
+                        budget: int = 50_000, corpus=None):
     """Heuristic search for a smaller pair set with no found counterexample.
 
     Greedily drops pairs whose probe, seeded from the corpus if one is
@@ -211,8 +210,6 @@ def experimental_reduce(board: Board, base, seed: int = 0,
     random.Random(seed).shuffle(order)
     dropped = []
     for pair in order:
-        if max_drops is not None and len(dropped) >= max_drops:
-            break
         record = probe_pair(board, frozenset(current), pair, corpus=corpus,
                             budget=budget)
         if record.verdict == INCONCLUSIVE:

@@ -187,51 +187,22 @@ def carrier(entry: ConstraintSet, cset: ConstraintSet) -> Symmetry | None:
     return next(_completions(cset.board, entry.mask, cset.mask), None)
 
 
-def _coarse_part(g: Symmetry) -> tuple:
-    """g's image in the coarse quotient: (transpose, sigma, tau)."""
-    n = g.board.n
-    return (g.transpose, *(tuple(line // n for line in lines[::n])
-                           for lines in (g.rows, g.cols)))
-
-
-def _coarse_product(x: tuple, y: tuple) -> tuple:
-    """The coarse part of x after y, as Symmetry.compose builds it."""
-    transpose, sigma, tau = x
-    first_sigma, first_tau = (y[2], y[1]) if transpose else y[1:]
-    return (transpose != y[0], tuple(sigma[b] for b in first_sigma),
-            tuple(tau[s] for s in first_tau))
-
-
 def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
     """Generators of the symmetries that map the model onto itself.
 
     Each coarse element (transpose, band and stack permutations) whose image
     of the model has the model's boxes and its count of present lines per
-    band and stack gives one completion onto the model itself.  A completion
-    is kept only when its coarse part lies outside the group that the coarse
-    parts kept so far generate, so the kept ones generate every admissible
-    coarse part.  The transpositions of two lines of one band or stack that
-    are both present or both absent are added.  Any symmetry fixing the
-    model, followed by the inverse of a product of kept completions with its
-    coarse part, permutes lines inside bands and stacks and fixes the model,
-    so it is a product of those transpositions: the generators reach the
-    whole stabilizer without enumerating it.
+    band and stack gives one completion onto the model itself.  The
+    transpositions of two lines of one band or stack that are both present
+    or both absent are added.  Any symmetry fixing the model, followed by
+    the inverse of the completion of its coarse element, permutes lines
+    inside bands and stacks and fixes the model, so it is a product of those
+    transpositions: the generators reach the whole stabilizer without
+    enumerating it.
     """
     board, mask = cset.board, cset.mask
     n, side = board.n, board.side
-    ident = (False, tuple(range(n)), tuple(range(n)))
-    gens, parts, reached = [], [], {ident}
-    for g in _completions(board, mask, mask):
-        part = _coarse_part(g)
-        if part in reached:
-            continue
-        gens.append(g)
-        parts.append(part)
-        frontier = list(reached)  # close the group under the new part
-        while frontier:
-            found = {_coarse_product(p, x) for x in frontier for p in parts}
-            frontier = list(found - reached)
-            reached |= found
+    gens = list(_completions(board, mask, mask))
     for columns in (False, True):
         offset = side if columns else 0
         for chute in range(0, side, n):

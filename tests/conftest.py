@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import redoku.pipeline
 from redoku.board import Board
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -25,3 +26,12 @@ def corpus_path():
 @pytest.fixture(scope="session")
 def bad_corpus_path():
     return os.path.join(DATA_DIR, "corpus_bad.txt")
+
+
+@pytest.fixture
+def fresh_pipeline_caches():
+    # A patched witness search must neither read a catalog cached before it
+    # nor leave its catalog to the tests after it.
+    redoku.pipeline._level.cache_clear()
+    yield
+    redoku.pipeline._level.cache_clear()

@@ -1,11 +1,13 @@
-"""Shared test utilities: brute-force references for the solver and for
-class enumeration."""
+"""Shared test utilities: brute-force references for the solver, for
+class enumeration and for catalog coverage."""
 
 from itertools import combinations, product
 
 from redoku.board import Board, verify_grid, Grid
+from redoku.pipeline import (NOT_SUDOKU, SUDOKU, enumerate_classes,
+                             minimal_catalog)
 from redoku.solver import SolverProblem
-from redoku.symmetry import _canonical_key, _key_to_mask
+from redoku.symmetry import _canonical_key, _key_to_mask, group_images
 
 
 def brute_force_satisfiable(problem: SolverProblem) -> bool:
@@ -50,3 +52,28 @@ def brute_force_classes(board: Board, n_missing: int):
         counts[key] = counts.get(key, 0) + 1
     masks = [_key_to_mask(key, board.num_big) for key in counts]
     return masks, list(counts.values())
+
+
+def covers(entry_images, mask: int) -> bool:
+    """A model is covered when some image of the entry keeps at most the
+    model's own constraints: absent(image) within absent(model)."""
+    return any(mask & ~image == 0 for image in entry_images)
+
+
+def derive_from_catalog(board: Board, n_missing: int, catalog=None):
+    """Classify without any closure: match raw masks against the catalog.
+
+    A class whose absent set contains some catalog image's absent set is
+    not Sudoku (dropping constraints never restores solutions); anything
+    unmatched is claimed Sudoku.  Sound on its negative side everywhere,
+    and complete on the horizon the catalog was built for, this gives an
+    independent route to the same split as run_classification.
+    """
+    if catalog is None:
+        catalog = minimal_catalog(board, max(2, n_missing))
+    images = [group_images(entry.cset) for entry in catalog]
+    out = {SUDOKU: [], NOT_SUDOKU: []}
+    for cset in enumerate_classes(board, n_missing):
+        matched = any(covers(imgs, cset.mask) for imgs in images)
+        out[NOT_SUDOKU if matched else SUDOKU].append(cset)
+    return out

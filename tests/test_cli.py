@@ -246,6 +246,16 @@ def test_solve_corpus_index_out_of_range(corpus_path, capsys):
     assert "99" in err
 
 
+def test_solve_givens_and_corpus_are_usage_error(corpus_path, capsys):
+    # One source of givens: the corpus and --index would otherwise be
+    # ignored without a word.
+    code, _, err = run_cli_expecting_exit(
+        ["solve", "--givens", "0" * 81, "--corpus", str(corpus_path),
+         "--index", "3", "--budget", "5"], capsys)
+    assert code == EXIT_USAGE
+    assert "not allowed with" in err
+
+
 def test_solve_degenerate_equality(capsys):
     code, out, _ = run_cli(["solve", "--equal", "1,1=1,2"], capsys)
     assert code == EXIT_OK
@@ -286,18 +296,6 @@ def test_seed_is_only_for_probe_and_solve(command, capsys):
     code, _, err = run_cli_expecting_exit(command + ["--seed", "1"], capsys)
     assert code == EXIT_USAGE
     assert "--seed" in err
-
-
-@pytest.fixture
-def fresh_pipeline_caches():
-    # A patched witness search must neither read a catalog cached before it
-    # nor leave its witness-less catalog to the tests after it.
-    caches = (redoku.pipeline._level, redoku.pipeline._run_classification)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
 
 
 def test_missed_catalog_witness_leaves_classes_unresolved(

@@ -5,11 +5,11 @@ import pytest
 import redoku.pipeline
 from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, SUDOKU, class_orbit_sizes,
-                             derive_from_catalog, enumerate_classes,
-                             minimal_catalog, raw_count, run_classification)
+                             enumerate_classes, minimal_catalog, raw_count,
+                             run_classification)
 from redoku.symmetry import canonical_key
 
-from helpers import brute_force_classes
+from helpers import brute_force_classes, derive_from_catalog
 
 
 def test_enumeration_counts(board):
@@ -97,25 +97,28 @@ def test_catalog_grows_by_one_at_seven(board):
     assert seven[-1].label == "R1,C1,B2,B4,B6,B8,B9"
 
 
-def test_catalog_classes_keep_their_entry_witness(board, monkeypatch):
+def test_catalog_classes_keep_their_entry_witness(board, monkeypatch,
+                                                  fresh_pipeline_caches):
     # Class witnesses are catalog witnesses moved by a symmetry, so the
-    # classification searches for none; the two level-6 classes that are
-    # catalog entries keep the entry's own grid.  The catalog is built
-    # before the search is patched, and the uncached function is called, so
-    # a search made for any class would be seen.
-    entries = {e.label: e.witness for e in minimal_catalog(board, 6)}
+    # sweep searches only for the catalog entries, in catalog order; the
+    # two level-6 classes that are catalog entries keep the entry's own
+    # grid.
     searched = []
+    real_find_witness = redoku.pipeline.find_witness
     def find_witness(cset):
         searched.append(cset.missing_labels())
-        return None
+        return real_find_witness(cset)
     monkeypatch.setattr(redoku.pipeline, "find_witness", find_witness)
-    report = redoku.pipeline._run_classification.__wrapped__(3, 6)
+    report = run_classification(board, 6)
+    entries = {e.label: e.witness for e in report.catalog}
+    assert searched == [e.label for e in report.catalog] == [
+        "R1,R2", "R1,C1,B1", "B1,B2,B4,B5", "R1,R4,B1,B4",
+        "R1,C1,B2,B4,B5", "B1,B2,B4,B6,B8,B9", "R1,R4,B1,B5,B7,B8"]
     reused = {r.cset.missing_labels(): r.witness for r in report.records
               if r.cset.missing_labels() in entries}
     assert sorted(reused) == ["B1,B2,B4,B6,B8,B9", "R1,R4,B1,B5,B7,B8"]
     assert all(witness == entries[label]
                for label, witness in reused.items())
-    assert searched == []
     full = ConstraintSet.full(board)
     for record in report.records:
         if record.verdict == NOT_SUDOKU:
@@ -164,14 +167,16 @@ def test_catalog_rejects_small_horizon(board):
         minimal_catalog(board, 1)
 
 
-def test_derived_classification_matches_direct(board):
-    for k in (2, 3, 4):
-        direct = run_classification(board, k)
-        derived = derive_from_catalog(board, k)
-        assert {c.mask for c in derived[SUDOKU]} == {
-            c.mask for c in direct.sudoku_classes}
-        assert {c.mask for c in derived[NOT_SUDOKU]} == {
-            c.mask for c in direct.non_sudoku_classes}
+@pytest.mark.parametrize("order, k", [(2, k) for k in range(13)]
+                         + [(3, k) for k in (2, 3, 4)])
+def test_derived_classification_matches_direct(order, k):
+    board = Board(order)
+    direct = run_classification(board, k)
+    derived = derive_from_catalog(board, k)
+    assert {c.mask for c in derived[SUDOKU]} == {
+        c.mask for c in direct.sudoku_classes}
+    assert {c.mask for c in derived[NOT_SUDOKU]} == {
+        c.mask for c in direct.non_sudoku_classes}
 
 
 def test_records_carry_verifiable_evidence(board):

@@ -331,6 +331,6 @@ def test_experimental_reduce_is_conservative(board):
     base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
     sample = frozenset(sample_probes(base, 20, seed=2))
     reduced, dropped = experimental_reduce(board, sample, seed=2,
-                                           budget=200_000, max_drops=2)
-    assert reduced | set(dropped) == sample
-    assert len(dropped) <= 2
+                                           budget=200_000)
+    assert dropped == []
+    assert reduced == sample

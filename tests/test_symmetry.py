@@ -7,13 +7,15 @@ from itertools import permutations
 
 from redoku.board import (Board, ConstraintSet, parse_missing,
                           pattern_solution, region_cells, verify_grid)
-from redoku.pipeline import _covers, enumerate_classes
+from redoku.pipeline import enumerate_classes
 from redoku.smalls import expand_small, sample_probes
-from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _coarse_part,
-                             _coarse_product, _image_key, canonical_key,
-                             canonicalize, carrier, carry_from_root,
-                             generators, group_images, group_order,
-                             orbit_size, pair_orbits, stabilizer_generators)
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
+                             canonical_key, canonicalize, carrier,
+                             carry_from_root, generators, group_images,
+                             group_order, orbit_size, pair_orbits,
+                             stabilizer_generators)
+
+from helpers import covers
 
 
 def bfs_orbit(cset):
@@ -232,23 +234,6 @@ def test_stabilizer_generators_act_on_regions(board):
                 assert image == set(region_cells(g.labels[cid], board))
 
 
-def test_coarse_parts_compose_like_symmetries(board):
-    rng = random.Random(29)
-    for _ in range(200):
-        x, y = random_element(board, rng), random_element(board, rng)
-        assert (_coarse_product(_coarse_part(x), _coarse_part(y))
-                == _coarse_part(x.compose(y)))
-
-
-def test_stabilizer_generators_are_pruned(board):
-    # One completion per admissible coarse element gave 78 and 90
-    # generators; a completion whose coarse part the kept ones already
-    # generate adds nothing, and the line transpositions (6 and 18) stay.
-    assert len(stabilizer_generators(
-        parse_missing(board, "R2,R5,R8,C2,C5,C8"))) == 11
-    assert len(stabilizer_generators(ConstraintSet.full(board))) == 23
-
-
 def test_symmetry_rejects_lines_leaving_their_band(board2):
     ident = tuple(range(4))
     with pytest.raises(ValueError):
@@ -296,7 +281,7 @@ def test_carrier_exists_exactly_when_the_entry_covers(order):
         if rng.random() < 0.5:
             mask &= rng.getrandbits(board.num_big)
         g = carrier(entry, ConstraintSet(board, mask))
-        covered = _covers(group_images(entry), mask)
+        covered = covers(group_images(entry), mask)
         assert (g is not None) == covered
         found[covered] += 1
         if g is None:
