@@ -11,7 +11,8 @@ from functools import lru_cache
 from .board import Board, ConstraintSet, Grid
 from .rewrite import close_mask
 from .solver import _checked_witness, find_witness
-from .symmetry import _canonical_key, _key_to_mask, carrier, group_images
+from .symmetry import _canonical_key, _key_to_mask, carrier, orbit_size
+from .symmetry import group_images  # noqa: F401 (perfbench/trace.py wraps it)
 
 SUDOKU = "sudoku"
 NOT_SUDOKU = "not-sudoku"
@@ -108,8 +109,10 @@ def _level(n: int, k: int):
     constraint from a level k - 1 class and canonicalizing.  The records
     come in canonical key order, which is the order of first appearance
     among lexicographic missing-id combinations, because the key packs R1
-    most significant.  Orbit sizes come from group_images, so their sum is
-    an independent check on the enumeration.
+    most significant.  orbit_size counts each class's images as its
+    distinct coarse-image keys times its line arrangements, without the
+    enumeration, so the sizes summing to C(num_big, k) still checks that
+    no class is missed or doubled.
 
     Then each class is closed under the derivation rules, in mask order.
     A class reaching the full set is Sudoku-equivalent.  A stuck class
@@ -138,8 +141,7 @@ def _level(n: int, k: int):
                 keys.add(_canonical_key(n, mask ^ bit))
                 present ^= bit
         masks = [_key_to_mask(key, board.num_big) for key in sorted(keys)]
-    orbits = {mask: len(group_images(ConstraintSet(board, mask)))
-              for mask in masks}
+    orbits = {mask: orbit_size(ConstraintSet(board, mask)) for mask in masks}
     if sum(orbits.values()) != math.comb(board.num_big, k):
         raise RuntimeError(
             f"orbit sizes at level {k} sum to {sum(orbits.values())}, "

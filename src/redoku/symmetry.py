@@ -8,7 +8,7 @@
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial, prod
 from operator import itemgetter
 
 from .board import Board, ConstraintSet, Grid
@@ -340,7 +340,8 @@ def _segment_patterns(n: int) -> tuple[tuple[int, ...], ...]:
 
 def group_images(cset: ConstraintSet) -> frozenset[int]:
     """Presence masks of every image of the model under the group: each
-    coarse image with every arrangement of each segment's lines."""
+    coarse image with every arrangement of each segment's lines.  The
+    oracle that tests and perfbench/check.py compare orbit_size with."""
     n, side = cset.board.n, cset.board.side
     seg = (1 << n) - 1
     pats = _segment_patterns(n)
@@ -356,4 +357,19 @@ def group_images(cset: ConstraintSet) -> frozenset[int]:
 
 
 def orbit_size(cset: ConstraintSet) -> int:
-    return len(group_images(cset))
+    """Number of group images, counted without building them.
+
+    A coarse element permutes the 2n line segments, so every image has as
+    many line arrangements as the model: the product over the segments of
+    C(n, absent lines).  Two coarse images share all their arrangements
+    when their image keys agree and none otherwise, so the orbit holds that
+    product times the number of distinct keys.  Those are counted on the
+    arrangement with each segment's absent lines first: coarse elements
+    keep the order of lines inside segments, so its coarse images keep
+    that form and are equal exactly when their keys are."""
+    n, mask = cset.board.n, cset.mask
+    seg = (1 << n) - 1
+    arrangements = prod(comb(n, (mask >> shift & seg).bit_count())
+                        for shift in range(0, 2 * n * n, n))
+    first = _key_to_mask(_image_key(n, mask), cset.board.num_big)
+    return arrangements * len({g.apply_mask(first) for g in _coarse(n)})

@@ -36,7 +36,7 @@ def test_traced_classify_counts_witness_searches(tmp_path):
     assert metrics["rewrite.closures"] > 0
     assert metrics["board.verifies"] > 0
     assert metrics["symmetry.keys"] > 0
-    assert metrics["symmetry.images"] > 0
+    assert metrics["symmetry.images"] == 0  # orbit sizes are counted
 
 
 def test_traced_probe_counts_probes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, SUDOKU, class_orbit_sizes,
                              enumerate_classes, minimal_catalog, raw_count,
                              run_classification)
-from redoku.symmetry import canonical_key
+from redoku.symmetry import canonical_key, canonicalize
 
 from helpers import brute_force_classes, derive_from_catalog
 
@@ -23,6 +24,16 @@ def test_orbit_sizes_sum_to_raw_count(board):
     for k in range(5):
         sizes = class_orbit_sizes(board, k)
         assert sum(sizes) == raw_count(board, k) == math.comb(27, k)
+
+
+def test_orbit_size_sum_check_fires(board, monkeypatch, fresh_pipeline_caches):
+    # One level-3 class counted one image too many must break the sum.
+    wrong = canonicalize(parse_missing(board, "R1,R2,R3")).mask
+    true_size = redoku.pipeline.orbit_size
+    monkeypatch.setattr(redoku.pipeline, "orbit_size",
+                        lambda cset: true_size(cset) + (cset.mask == wrong))
+    with pytest.raises(RuntimeError, match=re.escape("not C(27, 3)")):
+        redoku.pipeline._level(3, 3)
 
 
 @pytest.mark.parametrize("order, top", [(2, 12), (3, 4)])

@@ -129,6 +129,19 @@ def test_orbit_sizes_match_bfs(board):
         assert group_images(cset) == orbit
 
 
+@pytest.mark.parametrize("order, top", [(2, 12), (3, 7)])
+def test_counted_orbit_sizes_match_images(order, top):
+    # Each class and one random image of it, which need not list each
+    # segment's absent lines first as the class does.
+    board = Board(order)
+    rng = random.Random(43)
+    for k in range(top + 1):
+        for cset in enumerate_classes(board, k):
+            size = len(group_images(cset))
+            assert orbit_size(cset) == size
+            assert orbit_size(random_element(board, rng).apply(cset)) == size
+
+
 def test_single_box_orbits_agree(board):
     # Band and stack swaps carry any one box to any other, so every
     # single-box model shares one orbit of size 9.
@@ -340,6 +353,7 @@ def test_order_four_keys_and_images_match_bfs():
         orbit = bfs_orbit(cset)
         assert canonical_key(cset) == min(packed(board, m) for m in orbit)
         assert group_images(cset) == orbit
+        assert orbit_size(cset) == len(orbit)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
