@@ -94,8 +94,8 @@ class ProbeRecord:
     nodes: int
     propagations: int
     seed_index: int | None = None
-    # SEARCH, or "transported:r1,c1-r2,c2" naming the searched pair whose
-    # witness a symmetry of the model moved onto this pair.
+    # SEARCH, or "transported:" or "shared:" and "r1,c1-r2,c2" naming the
+    # pair whose record speaks for this one's orbit (see probe_minimality).
     provenance: str = SEARCH
 
     def to_json_dict(self, board: Board) -> dict:
@@ -115,22 +115,32 @@ DEFAULT_PROBE_BUDGET = 200_000
 
 
 def probe_pair(board: Board, base, pair, corpus=None,
-               budget: int = DEFAULT_PROBE_BUDGET) -> ProbeRecord:
+               budget: int = DEFAULT_PROBE_BUDGET, mates=()) -> ProbeRecord:
     """Test one pair of `base`: can the remaining pairs still force it apart?
 
     Builds Rest = base minus the pair and searches for a grid satisfying
-    Rest with the pair's cells equal (solver.solve_equal, which `budget`
-    bounds and `corpus` seeds).  A solution proves Rest admits a grid the
-    full model rejects, so the pair is reported as needed.  No solution
-    within budget is inconclusive, never proof of redundancy.
+    Rest with the pair's cells equal (solver.solve_equal, `budget` per pair,
+    `corpus` seeding).  A solution proves Rest admits a grid the full model
+    rejects, so the pair is reported as needed.  No solution within budget
+    is inconclusive, never proof of redundancy.  `mates`, pairs whose
+    probes a symmetry maps onto this one's, join the search, each Rest
+    built as its pair joins; the record, with the totals, is the confirmed
+    pair's (the one its witness makes equal), else `pair`'s.
     """
-    pair = tuple(pair)
-    if pair not in base:
-        raise ValueError(f"probe pair {pair} is not in the base set")
-    bigs, extras = _decompose(board, frozenset(base - {pair}))
+    def problem(pair):
+        pair = tuple(pair)
+        if pair not in base:
+            raise ValueError(f"probe pair {pair} is not in the base set")
+        bigs, extras = _decompose(board, frozenset(base - {pair}))
+        return bigs, pair, extras
+    bigs, pair, extras = problem(pair)
     outcome, index = solve_equal(bigs, pair, budget, extra_smalls=extras,
-                                 corpus=corpus)
+                                 corpus=corpus,
+                                 mates=map(problem, mates) if mates else ())
     verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
+    if outcome.is_solution and mates:
+        values = outcome.grid.values
+        pair = next(p for p in base if values[p[0]] == values[p[1]])
     return ProbeRecord(pair, verdict, outcome.grid, outcome.stats.nodes,
                        outcome.stats.propagations, index)
 
@@ -141,12 +151,11 @@ def probe_minimality(board: Board, base, probes, corpus=None,
 
     When `base` is the expansion of a model and no corpus is given, a
     symmetry fixing the model maps the probe of one pair onto the probe of
-    its image, so pairs of one orbit share their searches: the requested
-    pairs of an orbit are searched in the given order until one is
-    confirmed needed, and its witness, moved by the symmetry, is the
-    witness of every other requested pair of that orbit.  Corpus givens
-    break the symmetry, so with a corpus, as for a `base` that is not a
-    model expansion, every pair gets its own search.
+    its image, so the requested pairs of one orbit share one search: the
+    first is probed with the others as mates, and its record speaks for
+    them all (_share).  Corpus givens break the symmetry, so with a
+    corpus, as for a `base` that is not a model expansion, every pair gets
+    its own search.
     """
     base = frozenset(base)
     probes = [tuple(pair) for pair in probes]
@@ -155,34 +164,30 @@ def probe_minimality(board: Board, base, probes, corpus=None,
         return [probe_pair(board, base, pair, corpus=corpus, budget=budget)
                 for pair in probes]
     orbits = pair_orbits(bigs, base)
-    searched = {}
-    confirmed = {}  # orbit root -> the search record that confirmed it
-    for pair in probes:
+    members = {}  # orbit root -> its requested pairs, in order
+    for pair in dict.fromkeys(probes):
         # A pair outside `base` is its own root; probe_pair rejects it.
-        root = orbits.get(pair, (pair,))[0]
-        if root not in confirmed and pair not in searched:
-            record = searched[pair] = probe_pair(board, base, pair,
-                                                 budget=budget)
-            if record.verdict == CONFIRMED_NEEDED:
-                confirmed[root] = record
-    records = []
-    for pair in probes:
-        source = confirmed.get(orbits[pair][0])
-        if source is None or source.pair == pair:
-            records.append(searched[pair])
-        else:
-            records.append(_transport(board, base, source, orbits, pair))
-    return records
+        members.setdefault(orbits.get(pair, (pair,))[0], []).append(pair)
+    searched = {root: probe_pair(board, base, pairs[0], budget=budget,
+                                 mates=pairs[1:])
+                for root, pairs in members.items()}
+    return [_share(board, base, searched[orbits[pair][0]], orbits, pair)
+            for pair in probes]
 
 
-def _transport(board: Board, base, source: ProbeRecord, orbits,
-               pair) -> ProbeRecord:
-    """The record of `pair` whose witness is the witness of `source` moved
-    by the symmetry that carries source's pair onto `pair`.
-
-    With to_source and to_pair carrying the orbit's root onto the two
-    pairs, that symmetry is to_pair after the inverse of to_source.
+def _share(board: Board, base, source: ProbeRecord, orbits,
+           pair) -> ProbeRecord:
+    """The record of `pair` in the orbit search whose record is `source`:
+    source itself for its own pair, else, if source was confirmed, its
+    witness moved by the symmetry that carries source's pair onto `pair`:
+    to_pair after the inverse of to_source, which carry the orbit's root.
     """
+    if source.pair == pair:
+        return source
+    (r1, c1), (r2, c2) = pair_cells(board, source.pair)
+    if source.verdict != CONFIRMED_NEEDED:
+        return ProbeRecord(pair, INCONCLUSIVE, None, 0, 0,
+                           provenance=f"shared:{r1},{c1}-{r2},{c2}")
     to_source = carry_from_root(board, orbits, source.pair)
     to_pair = carry_from_root(board, orbits, pair)
     witness = to_pair.compose(to_source.inverse()).move(source.witness)
@@ -191,7 +196,6 @@ def _transport(board: Board, base, source: ProbeRecord, orbits,
     if equal != [pair]:
         raise RuntimeError(f"witness moved from pair {source.pair} to {pair} "
                            f"makes pairs {equal[:3]} equal")
-    (r1, c1), (r2, c2) = pair_cells(board, source.pair)
     return ProbeRecord(pair, CONFIRMED_NEEDED, witness,
                        0, 0, provenance=f"transported:{r1},{c1}-{r2},{c2}")
 

@@ -2,12 +2,12 @@
 # big (all-different) constraints, extra binary inequalities, forced-equal cell
 # pairs, and given values; outcomes carry search statistics and are always
 # re-verified before being reported.  One equality search, solve_equal, pins a
-# cell pair equal under one Luby restart ladder for both witnesses and probes.
-# A cell pair is always (a, b) of flat cell indices, row-major from 0.
+# cell pair equal under one Luby restart ladder, which the pairs of a probe
+# orbit climb staggered.  A cell pair is (a, b), flat cells row-major from 0.
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .board import (Board, ConstraintSet, Grid, pattern_solution,
                     region_cells, verify_grid)
@@ -140,7 +140,6 @@ class _Engine:
         self.dirty = set()
         self.nodes = 0
         self.propagations = 0
-        self.failed = False
 
     def seed_givens(self) -> bool:
         givens = self.problem.givens
@@ -163,7 +162,6 @@ class _Engine:
         self.dom[var] = new
         self.propagations += 1
         if not new:
-            self.failed = True
             return False
         if new & (new - 1) == 0 and old & (old - 1) != 0:
             self.nassigned += 1
@@ -182,7 +180,6 @@ class _Engine:
             dom[var] = old
         self.queue.clear()
         self.dirty.clear()
-        self.failed = False
 
     def propagate(self) -> bool:
         dom = self.dom
@@ -212,7 +209,6 @@ class _Engine:
                             if count > 1:
                                 break
                     if count == 0:
-                        self.failed = True
                         return False
                     if count == 1 and dom[last] != bit:
                         if not self._set_dom(last, bit):
@@ -412,53 +408,68 @@ def restart_ladder(budget: int) -> list:
 
 
 def solve_equal(bigs: ConstraintSet, pair: tuple[int, int], budget: int,
-                extra_smalls=(), corpus=None):
+                extra_smalls=(), corpus=None, mates=()):
     """Search for a grid of the model in which the two cells of `pair`, a
-    flat (a, b) like every pair of `extra_smalls`, hold one value; the first
-    solution wins.
+    flat (a, b) like every pair of `extra_smalls`, hold one value, or for
+    one of `mates`, more (bigs, pair, extra_smalls) alternatives taken
+    lazily; the first solution wins.
 
-    `budget` >= 1 bounds the nodes of the whole search.  Without a corpus,
+    `budget` >= 1 bounds the nodes of each alternative.  Without a corpus,
     the pair is pinned to value 1 (relabeling values maps solutions to
     solutions, so the pin costs no generality) and restart_ladder(budget)
-    runs; a rung proving the instance unsatisfiable ends the search, since
-    a complete search under any value order proves the same.  With a
-    corpus, each puzzle in order seeds the search as givens with an equal
-    share of the budget, and only a solution is conclusive; a budget below
-    the number of puzzles would leave each a share of 0, and is rejected.
+    runs; a rung proving the instance unsatisfiable retires the
+    alternative, since a complete search under any value order proves the
+    same.  Mate j joins at step j + 1, and each step runs the next rung of
+    every alternative joined, oldest first: each climbs a prefix of its own
+    ladder, so none ends worse than its own search would.  A corpus takes
+    no mates (givens break their symmetry); each puzzle in order seeds the
+    search with an equal share of the budget, and only a solution is
+    conclusive; a budget below the number of puzzles is rejected.
 
-    Returns (outcome with the stats of every attempt summed, corpus index
-    of the solving puzzle or None).
+    Returns (outcome with the stats of every attempt summed, UNSATISFIABLE
+    only if every alternative was refuted; solving puzzle's index or None).
     """
     if budget < 1:
         raise ValueError(f"node budget must be positive, got {budget}")
     if corpus and budget < len(corpus):
         raise ValueError(f"node budget {budget} is below the corpus size "
                          f"{len(corpus)}: every puzzle needs a node")
-    board = bigs.board
+    if corpus and mates:
+        raise ValueError("a corpus search takes no mates")
+    # Built once: every alternative climbs the same ladder.
+    ladder = None if corpus else restart_ladder(budget)
 
-    def problem(givens):
-        return SolverProblem(bigs, extra_smalls, (pair,), givens)
-    if corpus:
-        share = budget // len(corpus)
-        attempts = ((index, problem(givens), None, share)
+    def climb(alternative):
+        bigs, pair, extra_smalls = alternative
+        board = bigs.board
+        if corpus:
+            return ((index, SolverProblem(bigs, extra_smalls, (pair,), givens),
+                     None, budget // len(corpus))
                     for index, givens in enumerate(corpus))
-    else:
         pin = tuple(int(cell in pair) for cell in range(board.num_cells))
-        pinned = problem(Grid(board, pin))
-        attempts = ((None, pinned, seed, limit)
-                    for seed, limit in restart_ladder(budget))
-    nodes = propagations = 0
-    for index, attempt, value_seed, node_limit in attempts:
-        outcome = solve(attempt, budget=node_limit,
-                        value_order_seed=value_seed)
-        nodes += outcome.stats.nodes
-        propagations += outcome.stats.propagations
-        if outcome.is_solution or (
-                outcome.status == UNSATISFIABLE and not corpus):
-            break
-    return (SolverOutcome(outcome.status, outcome.grid,
-                          SolveStats(nodes, propagations)),
-            index if outcome.is_solution else None)
+        pinned = SolverProblem(bigs, extra_smalls, (pair,), Grid(board, pin))
+        return ((None, pinned, seed, limit) for seed, limit in ladder)
+
+    waiting, climbs = iter(mates), [climb((bigs, pair, extra_smalls))]
+    status, nodes, propagations = UNSATISFIABLE, 0, 0
+    while climbs:
+        for attempts in list(climbs):
+            for index, attempt, value_seed, node_limit in attempts:
+                outcome = solve(attempt, budget=node_limit,
+                                value_order_seed=value_seed)
+                nodes += outcome.stats.nodes
+                propagations += outcome.stats.propagations
+                if outcome.is_solution:
+                    stats = SolveStats(nodes, propagations)
+                    return SolverOutcome(SOLUTION, outcome.grid, stats), index
+                if outcome.status == UNSATISFIABLE and not corpus:
+                    climbs.remove(attempts)
+                break  # one rung per step
+            else:  # the top of its ladder, with no refutation
+                climbs.remove(attempts)
+                status = BUDGET
+        climbs += map(climb, islice(waiting, 1))
+    return SolverOutcome(status, None, SolveStats(nodes, propagations)), None
 
 
 # Node budgets of witness search: one climb of the restart ladder per pair,

@@ -5,11 +5,11 @@ import pytest
 import redoku.smalls
 import redoku.solver
 from redoku.board import ConstraintSet, parse_missing
-from redoku.smalls import (CONFIRMED_NEEDED, INCONCLUSIVE, SEARCH, _decompose,
-                           expand_small, experimental_reduce, pair_cells,
-                           probe_minimality, probe_pair, sample_probes,
-                           small_count_range)
-from redoku.solver import read_corpus
+from redoku.smalls import (CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET,
+                           INCONCLUSIVE, SEARCH, _decompose, expand_small,
+                           experimental_reduce, pair_cells, probe_minimality,
+                           probe_pair, sample_probes, small_count_range)
+from redoku.solver import read_corpus, restart_ladder
 from redoku.symmetry import pair_orbits
 
 MODEL = "R2,R5,R8,C2,C5,C8"
@@ -158,13 +158,14 @@ def test_unseeded_probe_stays_within_small_budget(board):
 def test_probe_sweep_has_no_heavy_tail(board):
     # Every orbit of the model's pairs holds a pair that finishes in a few
     # dozen nodes, yet one long ascending rung once spent 154,774 nodes on
-    # the 11 searches of this sweep.  Node counts are deterministic.
+    # the 11 searches of this sweep, and searching the pairs of an orbit
+    # one after another 6,421.  Node counts are deterministic.
     base = expand_small(parse_missing(board, MODEL))
     records = probe_minimality(board, base, sorted(base))
     assert sum(r.verdict == CONFIRMED_NEEDED for r in records) == 648
     searched = [r for r in records if r.provenance == SEARCH]
     assert len(searched) == 11
-    assert sum(r.nodes for r in searched) <= 20_000
+    assert sum(r.nodes for r in searched) <= 6_421
 
 
 def test_exhaustive_unsat_ends_the_probe(board2, monkeypatch):
@@ -206,71 +207,142 @@ def counting_probes(monkeypatch):
     return searched
 
 
-def test_probe_minimality_transports_witnesses(board, monkeypatch):
+def recording_solves(monkeypatch):
+    """Record (pair, value-order seed, node limit, nodes, propagations) of
+    every equality solve, in call order."""
+    calls = []
+    real = redoku.solver.solve
+    def solve(problem, budget, value_order_seed=None):
+        outcome = real(problem, budget=budget,
+                       value_order_seed=value_order_seed)
+        calls.append((problem.equalities[0], value_order_seed, budget,
+                      outcome.stats.nodes, outcome.stats.propagations))
+        return outcome
+    monkeypatch.setattr(redoku.solver, "solve", solve)
+    return calls
+
+
+def requested_by_orbit(orbits, probes):
+    """Orbit root -> the requested pairs of that orbit, in request order."""
+    members = {}
+    for pair in probes:
+        members.setdefault(orbits[pair][0], []).append(pair)
+    return members
+
+
+def test_probe_minimality_transports_the_confirmed_witness(board,
+                                                           monkeypatch):
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     probes = sample_probes(base, 24, seed=1)
     orbits = pair_orbits(cset, base)
-    firsts = {}
-    for pair in probes:
-        firsts.setdefault(orbits[pair][0], pair)
+    members = requested_by_orbit(orbits, probes)
     searched = counting_probes(monkeypatch)
+    calls = recording_solves(monkeypatch)
     records = probe_minimality(board, base, probes)
-    # One search per orbit, on its first requested pair.
-    assert searched == list(firsts.values()) and len(searched) < len(probes)
+    # One search per orbit, started from its first requested pair.
+    assert searched == [pairs[0] for pairs in members.values()]
+    assert len(searched) < len(probes)
     assert [r.pair for r in records] == probes
-    by_pair = {r.pair: r for r in records}
-    for record in records:
-        assert record.verdict == CONFIRMED_NEEDED
-        assert equal_model_pairs(board, MODEL, record.witness) == [record.pair]
-        source = firsts[orbits[record.pair][0]]
-        if record.pair == source:
-            assert record.provenance == SEARCH and record.nodes > 0
-            continue
-        (r1, c1), (r2, c2) = pair_cells(board, source)
-        assert record.provenance == f"transported:{r1},{c1}-{r2},{c2}"
-        assert by_pair[source].provenance == SEARCH
-        assert (record.nodes, record.propagations) == (0, 0)
-        assert record.seed_index is None
+    for root, pairs in members.items():
+        orbit = [r for r in records if r.pair in pairs]
+        found = [r for r in orbit if r.provenance == SEARCH]
+        # The confirming record holds the whole search's totals.
+        assert len(found) == 1
+        spent = [c for c in calls if orbits[c[0]][0] == root]
+        assert (found[0].nodes, found[0].propagations) == (
+            sum(c[3] for c in spent), sum(c[4] for c in spent))
+        assert found[0].nodes > 0
+        (r1, c1), (r2, c2) = pair_cells(board, found[0].pair)
+        for record in orbit:
+            assert record.verdict == CONFIRMED_NEEDED
+            assert equal_model_pairs(board, MODEL, record.witness) == [
+                record.pair]
+            assert record.seed_index is None
+            if record is not found[0]:
+                assert record.provenance == f"transported:{r1},{c1}-{r2},{c2}"
+                assert (record.nodes, record.propagations) == (0, 0)
 
 
-def test_probe_minimality_searches_every_pair_at_tiny_budget(board,
-                                                             monkeypatch):
-    base = expand_small(parse_missing(board, MODEL))
+def test_probe_minimality_shares_an_unconfirmed_search(board, monkeypatch):
+    # At a budget of 10 no pair is confirmed, so every requested pair
+    # climbs its whole ladder, one rung of 10 nodes, and the orbit's first
+    # pair holds the totals of the search.
+    cset = parse_missing(board, MODEL)
+    base = expand_small(cset)
     probes = sample_probes(base, 24, seed=5)
-    searched = counting_probes(monkeypatch)
+    orbits = pair_orbits(cset, base)
+    calls = recording_solves(monkeypatch)
     records = probe_minimality(board, base, probes, budget=10)
-    assert searched == probes
-    assert all(r.verdict == INCONCLUSIVE and r.provenance == SEARCH
-               and 0 < r.nodes <= 10 for r in records)
+    assert sorted(c[:3] for c in calls) == [(p, None, 10) for p in probes]
+    by_pair = {r.pair: r for r in records}
+    assert [r.pair for r in records] == probes
+    for root, pairs in requested_by_orbit(orbits, probes).items():
+        first = by_pair[pairs[0]]
+        assert first.provenance == SEARCH and first.verdict == INCONCLUSIVE
+        assert first.nodes == sum(c[3] for c in calls if c[0] in pairs)
+        assert 0 < first.nodes <= 10 * len(pairs)
+        (r1, c1), (r2, c2) = pair_cells(board, pairs[0])
+        for pair in pairs[1:]:
+            record = by_pair[pair]
+            assert record.verdict == INCONCLUSIVE and record.witness is None
+            assert record.provenance == f"shared:{r1},{c1}-{r2},{c2}"
+            assert (record.nodes, record.propagations) == (0, 0)
 
 
-def test_probe_minimality_searches_a_prefix_of_each_orbit(board,
-                                                          monkeypatch):
-    # At a budget where some probes fail, an orbit is searched pair by pair
-    # until one is confirmed; that witness then also serves the pairs
-    # searched in vain before it.
+def test_shared_ladders_are_no_worse_than_own_searches(board):
+    # At a budget where most pairs fail alone, the pairs of one orbit
+    # climbing their ladders together confirm far more, and no pair that
+    # its own search confirms is left inconclusive.
+    base = expand_small(parse_missing(board, MODEL))
+    probes = sample_probes(base, 64, seed=1542757380)
+    shared = probe_minimality(board, base, probes, budget=50)
+    alone = [probe_pair(board, base, pair, budget=50) for pair in probes]
+    assert [r.pair for r in shared] == probes
+    for together, own in zip(shared, alone):
+        if own.verdict == CONFIRMED_NEEDED:
+            assert together.verdict == CONFIRMED_NEEDED
+    confirmed = Counter(r.verdict for r in shared)[CONFIRMED_NEEDED]
+    assert (confirmed, Counter(r.verdict for r in alone)[CONFIRMED_NEEDED]) \
+        == (56, 12)
+
+
+def test_shared_ladder_staggers_each_pairs_rungs(board, monkeypatch):
+    # Each requested pair climbs a prefix of its own restart ladder, and
+    # the j-th pair of an orbit runs its r-th rung at step j + r - 1,
+    # after every older pair's rung of that step.
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     probes = sample_probes(base, 64, seed=1542757380)
     orbits = pair_orbits(cset, base)
-    searched = counting_probes(monkeypatch)
-    records = probe_minimality(board, base, probes, budget=50)
-    assert Counter(r.verdict for r in records)[INCONCLUSIVE] > 0
-    assert len(set(searched)) == len(searched) < len(probes)
-    verdict = {r.pair: r.verdict for r in records}
-    upgraded = 0
-    for root in {orbits[p][0] for p in probes}:
-        members = [p for p in probes if orbits[p][0] == root]
-        done = [p for p in searched if orbits[p][0] == root]
-        assert done == members[:len(done)]
-        verdicts = {verdict[p] for p in members}
-        if verdict[done[-1]] == CONFIRMED_NEEDED:
-            assert verdicts == {CONFIRMED_NEEDED}
-            upgraded += len(done) - 1
-        else:
-            assert done == members and verdicts == {INCONCLUSIVE}
-    assert upgraded > 0
+    calls = recording_solves(monkeypatch)
+    probe_minimality(board, base, probes)
+    ladder = restart_ladder(DEFAULT_PROBE_BUDGET)
+    joined = 0
+    for root, pairs in requested_by_orbit(orbits, probes).items():
+        spent = [c for c in calls if orbits[c[0]][0] == root]
+        rungs = Counter()
+        order = []
+        for pair, seed, limit, _, _ in spent:
+            j = pairs.index(pair) + 1
+            rungs[pair] += 1
+            assert (seed, limit) == ladder[rungs[pair] - 1]
+            order.append((j + rungs[pair] - 1, j))
+        assert order == sorted(set(order))
+        joined += len(rungs) - 1
+    assert joined > 0
+
+
+def test_probe_draw_spends_few_nodes(board):
+    # The benchmark's 64-pair draw: one search per orbit, and the pairs of
+    # an orbit share their rungs, so no heavy first pair sets its cost.
+    base = expand_small(parse_missing(board, MODEL))
+    probes = sample_probes(base, 64, seed=1542757380)
+    records = probe_minimality(board, base, probes)
+    assert all(r.verdict == CONFIRMED_NEEDED for r in records)
+    searched = [r for r in records if r.provenance == SEARCH]
+    assert len(searched) == 11
+    assert sum(r.nodes for r in searched) <= 4_000
 
 
 def test_probe_minimality_with_corpus_searches_every_pair(board, corpus_path):

@@ -6,7 +6,7 @@ import redoku.solver
 from helpers import brute_force_satisfiable
 from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           pattern_solution, verify_grid)
-from redoku.smalls import INCONCLUSIVE, expand_small, probe_pair
+from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
                            UNSATISFIABLE, WITNESS_BUDGET, SolverProblem,
                            find_witness, luby, modification_witness,
@@ -290,6 +290,54 @@ def test_solve_equal_rejects_a_budget_below_the_corpus_size(
     outcome, _ = solve_equal(ConstraintSet.full(board), (0, 12), 6,
                              corpus=puzzles)
     assert outcome.stats.nodes <= 6
+
+
+def test_solve_equal_retires_a_refuted_alternative(board, board2,
+                                                   monkeypatch):
+    # At order 2 propagation alone rules out every full-model pair, so the
+    # first alternative is refuted by its first rung; the second, a pair of
+    # column C1 in a model without C1 and C2, still joins and solves.
+    base = expand_small(ConstraintSet.full(board2))
+    pair = sorted(base)[0]
+    bigs, extras = _decompose(board2, base - {pair})
+    apart = (parse_missing(board2, "C1,C2"), (0, 8), ())
+    calls = []
+    real = redoku.solver.solve
+    def solve(problem, budget, value_order_seed=None):
+        outcome = real(problem, budget=budget,
+                       value_order_seed=value_order_seed)
+        calls.append((problem.equalities, outcome.status))
+        return outcome
+    monkeypatch.setattr(redoku.solver, "solve", solve)
+    outcome, index = solve_equal(bigs, pair, 1_000, extra_smalls=extras,
+                                 mates=[apart])
+    assert calls == [((pair,), UNSATISFIABLE), (((0, 8),), SOLUTION)]
+    assert outcome.is_solution and index is None
+    assert outcome.grid.values[0] == outcome.grid.values[8]
+    assert verify_grid(outcome.grid, apart[0]) == frozenset()
+    # Refuted alternatives alone end the search as unsatisfiable; one that
+    # only runs out of rungs leaves it over budget.
+    calls.clear()
+    outcome, _ = solve_equal(bigs, pair, 1_000, extra_smalls=extras,
+                             mates=[(bigs, pair, extras)])
+    assert outcome.status == UNSATISFIABLE and len(calls) == 2
+    calls.clear()
+    full = ConstraintSet.full(board)
+    stuck, extras = _decompose(board, expand_small(full) - {(29, 46)})
+    outcome, _ = solve_equal(full, (0, 1), 100,
+                             mates=[(stuck, (29, 46), extras)])
+    # Its ladder for 100 nodes has two rungs, 64 and 36 nodes.
+    assert calls == [(((0, 1),), UNSATISFIABLE)] + [(((29, 46),), BUDGET)] * 2
+    assert outcome.status == BUDGET and outcome.stats.nodes == 100
+
+
+def test_solve_equal_rejects_a_corpus_with_mates(board, corpus_path):
+    # Givens break the symmetry that lets alternatives share one search.
+    puzzles, _ = read_corpus(corpus_path, board)
+    full = ConstraintSet.full(board)
+    with pytest.raises(ValueError, match="corpus search takes no mates"):
+        solve_equal(full, (0, 12), 1_000, corpus=puzzles,
+                    mates=[(full, (0, 13), ())])
 
 
 def test_parse_puzzle_line(board, board2):
