@@ -19,13 +19,15 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .board import Board, ConstraintSet, parse_missing
 from .figures import render_ascii, render_class_sheets, render_svg
 from .pipeline import minimal_catalog, run_classification
 from .rewrite import closure
-from .smalls import (CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET, expand_small,
-                     experimental_reduce, probe_minimality, sample_probes)
+from .smalls import (CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET, INCONCLUSIVE,
+                     REDUNDANT, expand_small, experimental_reduce,
+                     probe_minimality, sample_probes)
 from .solver import (DEFAULT_NODE_BUDGET, SolverProblem, parse_puzzle_line,
                      read_corpus, solve)
 
@@ -91,7 +93,8 @@ def _build_parser() -> _Parser:
                    help="probe report destination (default: stdout)")
     p.add_argument("--reduce", action="store_true",
                    help="afterwards, greedily drop unconfirmed pairs "
-                        "(heuristic; drops are candidates, not proofs)")
+                        "(a candidate, not a proof: only redundant drops "
+                        "are certified)")
     common(p, seed_for="--sample and --reduce")
 
     p = sub.add_parser("solve", help="solve one problem instance")
@@ -243,14 +246,16 @@ def _cmd_probe(parser, args) -> int:
     lines = "".join(json.dumps(r.to_json_dict(board), sort_keys=True) + "\n"
                     for r in records)
     _write_text(args.jsonl, lines)
-    confirmed = sum(r.verdict == CONFIRMED_NEEDED for r in records)
-    print(f"confirmed needed: {confirmed}/{len(records)}, "
-          f"inconclusive: {len(records) - confirmed}")
+    verdicts = Counter(r.verdict for r in records)
+    print(f"confirmed needed: {verdicts[CONFIRMED_NEEDED]}/{len(records)}, "
+          f"redundant: {verdicts[REDUNDANT]}, "
+          f"inconclusive: {verdicts[INCONCLUSIVE]}")
     if args.reduce:
-        reduced, dropped = experimental_reduce(
+        reduced, certified, heuristic = experimental_reduce(
             board, base, seed=args.seed, budget=args.budget, corpus=corpus)
         print(f"heuristic reduction: {len(base)} -> {len(reduced)} pairs "
-              f"({len(dropped)} dropped; candidates only, not proofs)")
+              f"({len(certified)} certified drops, {len(heuristic)} "
+              f"heuristic drops; a candidate only, not a proof)")
     return EXIT_OK
 
 

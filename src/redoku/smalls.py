@@ -1,6 +1,7 @@
 # Binary-inequality view of constraint models: expanding big constraints to
 # deduplicated cell-pair inequalities, counting them, and probing whether an
-# individual pair can be dropped without weakening the model.
+# individual pair can be dropped without weakening the model: a closure
+# certificate proves it can, a witness grid proves it cannot.
 
 import random
 from dataclasses import dataclass
@@ -8,12 +9,15 @@ from functools import lru_cache
 from itertools import combinations
 
 from .board import Board, ConstraintSet, Grid, region_cells
+from .rewrite import closure
 from .solver import solve_equal
 from .symmetry import carry_from_root, pair_orbits
 
 CONFIRMED_NEEDED = "confirmed-needed"
+REDUNDANT = "redundant"
 INCONCLUSIVE = "inconclusive"
 SEARCH = "search"
+CLOSURE = "closure"
 
 
 def pair_cells(board: Board, pair) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -84,6 +88,29 @@ def _decompose(board: Board, rest: frozenset):
     return bigs, tuple(sorted(rest - covered))
 
 
+def _closed_rest(board: Board, base, pair):
+    """Rest = `base` minus `pair`, _decompose'd, its whole regions closed
+    under the chute lemmas: ((closed bigs, pair, leftovers), certificate).
+
+    The lemmas are entailments, so the closed Rest admits exactly Rest's
+    grids.  A re-derived region holding both cells of the pair proves that
+    Rest keeps them apart; the certificate is that region's label and the
+    rendered closure trace up to its derivation, else None.
+    """
+    pair = tuple(pair)
+    if pair not in base:
+        raise ValueError(f"probe pair {pair} is not in the base set")
+    bigs, extras = _decompose(board, frozenset(base - {pair}))
+    closed, trace = closure(bigs)
+    certificate = None
+    for end, step in enumerate(trace, 1):
+        if set(pair) <= set(region_cells(step.derived, board)):
+            certificate = (board.id_label(step.derived),
+                           tuple(s.render(board) for s in trace[:end]))
+            break
+    return (closed, pair, extras), certificate
+
+
 @dataclass(frozen=True)
 class ProbeRecord:
     """Outcome of one equality probe against a pair of a small set."""
@@ -94,12 +121,19 @@ class ProbeRecord:
     nodes: int
     propagations: int
     seed_index: int | None = None
-    # SEARCH, or "transported:" or "shared:" and "r1,c1-r2,c2" naming the
-    # pair whose record speaks for this one's orbit (see probe_minimality).
+    # SEARCH, CLOSURE, or "transported:" or "shared:" and "r1,c1-r2,c2"
+    # naming the pair whose record speaks for this one's orbit (see
+    # probe_minimality).
     provenance: str = SEARCH
+    # REDUNDANT only: (region label, rendered trace), see _closed_rest.
+    certificate: tuple[str, tuple[str, ...]] | None = None
 
     def to_json_dict(self, board: Board) -> dict:
         cells = pair_cells(board, self.pair)
+        certificate = None
+        if self.certificate:
+            region, trace = self.certificate
+            certificate = {"region": region, "trace": list(trace)}
         return {
             "pair": [list(cells[0]), list(cells[1])],
             "verdict": self.verdict,
@@ -108,7 +142,13 @@ class ProbeRecord:
             "propagations": self.propagations,
             "seed_index": self.seed_index,
             "provenance": self.provenance,
+            "certificate": certificate,
         }
+
+
+def _certified(pair, certificate) -> ProbeRecord:
+    return ProbeRecord(pair, REDUNDANT, None, 0, 0, provenance=CLOSURE,
+                       certificate=certificate)
 
 
 DEFAULT_PROBE_BUDGET = 200_000
@@ -118,25 +158,27 @@ def probe_pair(board: Board, base, pair, corpus=None,
                budget: int = DEFAULT_PROBE_BUDGET, mates=()) -> ProbeRecord:
     """Test one pair of `base`: can the remaining pairs still force it apart?
 
-    Builds Rest = base minus the pair and searches for a grid satisfying
-    Rest with the pair's cells equal (solver.solve_equal, `budget` per pair,
-    `corpus` seeding).  A solution proves Rest admits a grid the full model
-    rejects, so the pair is reported as needed.  No solution within budget
-    is inconclusive, never proof of redundancy.  `mates`, pairs whose
-    probes a symmetry maps onto this one's, join the search, each Rest
-    built as its pair joins; the record, with the totals, is the confirmed
-    pair's (the one its witness makes equal), else `pair`'s.
+    Builds Rest = base minus the pair and closes its whole regions under
+    the chute lemmas (_closed_rest).  If a re-derived region holds both
+    cells, Rest entails the pair: the verdict is `redundant`, after no
+    search, and the record carries the closure certificate.  Otherwise
+    searches the closed Rest, which admits the same grids, for a grid with
+    the pair's cells equal (solver.solve_equal, `budget` per pair, `corpus`
+    seeding).  A solution proves Rest admits a grid the full model rejects,
+    so the pair is reported as needed.  No solution within budget is
+    inconclusive, and so is an exhaustive refutation, which carries no
+    certificate.  `mates`, pairs whose probes a symmetry maps onto this
+    one's, join the search, each Rest built and closed as its pair joins;
+    the record, with the totals, is the confirmed pair's (the one its
+    witness makes equal), else `pair`'s.
     """
-    def problem(pair):
-        pair = tuple(pair)
-        if pair not in base:
-            raise ValueError(f"probe pair {pair} is not in the base set")
-        bigs, extras = _decompose(board, frozenset(base - {pair}))
-        return bigs, pair, extras
-    bigs, pair, extras = problem(pair)
+    (bigs, pair, extras), certificate = _closed_rest(board, base, pair)
+    if certificate:
+        return _certified(pair, certificate)
+    joining = (_closed_rest(board, base, mate)[0] for mate in mates)
     outcome, index = solve_equal(bigs, pair, budget, extra_smalls=extras,
                                  corpus=corpus,
-                                 mates=map(problem, mates) if mates else ())
+                                 mates=joining if mates else ())
     verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
     if outcome.is_solution and mates:
         values = outcome.grid.values
@@ -151,11 +193,12 @@ def probe_minimality(board: Board, base, probes, corpus=None,
 
     When `base` is the expansion of a model and no corpus is given, a
     symmetry fixing the model maps the probe of one pair onto the probe of
-    its image, so the requested pairs of one orbit share one search: the
-    first is probed with the others as mates, and its record speaks for
-    them all (_share).  Corpus givens break the symmetry, so with a
-    corpus, as for a `base` that is not a model expansion, every pair gets
-    its own search.
+    its image, and the closure of its Rest onto the closure of the image's,
+    so the requested pairs of one orbit share one probe: the first is
+    probed with the others as mates, and its record speaks for them all
+    (_share).  In a certified orbit every pair gets its own certificate.
+    Corpus givens break the symmetry, so with a corpus, as for a `base`
+    that is not a model expansion, every pair gets its own probe.
     """
     base = frozenset(base)
     probes = [tuple(pair) for pair in probes]
@@ -177,13 +220,20 @@ def probe_minimality(board: Board, base, probes, corpus=None,
 
 def _share(board: Board, base, source: ProbeRecord, orbits,
            pair) -> ProbeRecord:
-    """The record of `pair` in the orbit search whose record is `source`:
-    source itself for its own pair, else, if source was confirmed, its
-    witness moved by the symmetry that carries source's pair onto `pair`:
-    to_pair after the inverse of to_source, which carry the orbit's root.
+    """The record of `pair` in the orbit probe whose record is `source`:
+    source itself for its own pair; if source was certified, the closure
+    certificate of `pair`'s own Rest; if source was confirmed, its witness
+    moved by the symmetry that carries source's pair onto `pair`: to_pair
+    after the inverse of to_source, which carry the orbit's root.
     """
     if source.pair == pair:
         return source
+    if source.verdict == REDUNDANT:
+        certificate = _closed_rest(board, base, pair)[1]
+        if certificate is None:
+            raise RuntimeError(f"closure certifies pair {source.pair} but "
+                               f"not its orbit mate {pair}")
+        return _certified(pair, certificate)
     (r1, c1), (r2, c2) = pair_cells(board, source.pair)
     if source.verdict != CONFIRMED_NEEDED:
         return ProbeRecord(pair, INCONCLUSIVE, None, 0, 0,
@@ -202,21 +252,24 @@ def _share(board: Board, base, source: ProbeRecord, orbits,
 
 def experimental_reduce(board: Board, base, seed: int = 0,
                         budget: int = 50_000, corpus=None):
-    """Heuristic search for a smaller pair set with no found counterexample.
+    """Greedy search for a smaller pair set with no found counterexample.
 
-    Greedily drops pairs whose probe, seeded from the corpus if one is
-    given, finds no solution within budget.  Every drop rests on a failure
-    to disprove, not a proof, so the result is a candidate reduction only.
-    Returns (reduced_set, dropped_pairs).
+    Drops, in a seeded shuffled order, each pair whose probe against the
+    pairs left at that moment (seeded from the corpus if one is given) is
+    `redundant` or `inconclusive`.  A redundant drop carries a closure
+    certificate against those pairs; an inconclusive one rests on a failure
+    to disprove, not a proof.  The result is a candidate reduction only,
+    and no minimality is claimed.  Returns (reduced_set, certified_drops,
+    heuristic_drops).
     """
     current = set(base)
     order = sorted(current)
     random.Random(seed).shuffle(order)
-    dropped = []
+    dropped = {REDUNDANT: [], INCONCLUSIVE: []}
     for pair in order:
         record = probe_pair(board, frozenset(current), pair, corpus=corpus,
                             budget=budget)
-        if record.verdict == INCONCLUSIVE:
+        if record.verdict in dropped:
             current.discard(pair)
-            dropped.append(pair)
-    return frozenset(current), dropped
+            dropped[record.verdict].append(pair)
+    return frozenset(current), dropped[REDUNDANT], dropped[INCONCLUSIVE]

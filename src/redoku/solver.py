@@ -7,6 +7,7 @@
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 
 from .board import (Board, ConstraintSet, Grid, pattern_solution,
@@ -395,16 +396,18 @@ def luby(i: int) -> int:
     return (i + 1) // 2
 
 
-def restart_ladder(budget: int) -> list:
+@lru_cache(maxsize=None)
+def restart_ladder(budget: int) -> tuple:
     """(value-order seed, node limit) per rung: rung i gets LUBY_UNIT *
     luby(i) nodes and seed i - 2, rung 1 is the ascending pass (seed None),
-    and the last rung is cut so that the limits sum to `budget`."""
+    and the last rung is cut so that the limits sum to `budget`.  Built
+    once per budget."""
     rungs = []
     while budget > 0:
         nodes = min(budget, LUBY_UNIT * luby(len(rungs) + 1))
         rungs.append((len(rungs) - 1 if rungs else None, nodes))
         budget -= nodes
-    return rungs
+    return tuple(rungs)
 
 
 def solve_equal(bigs: ConstraintSet, pair: tuple[int, int], budget: int,
@@ -436,7 +439,6 @@ def solve_equal(bigs: ConstraintSet, pair: tuple[int, int], budget: int,
                          f"{len(corpus)}: every puzzle needs a node")
     if corpus and mates:
         raise ValueError("a corpus search takes no mates")
-    # Built once: every alternative climbs the same ladder.
     ladder = None if corpus else restart_ladder(budget)
 
     def climb(alternative):

@@ -113,6 +113,20 @@ def test_probe_jsonl_to_stdout(capsys):
     assert record["verdict"] == "confirmed-needed"
 
 
+def test_probe_summary_counts_redundant_pairs(capsys):
+    # The closure certifies every pair of the full model, so no probe
+    # searches.
+    code, out, _ = run_cli(["probe", "--missing", "", "--full"], capsys)
+    assert code == EXIT_OK
+    *lines, summary = out.splitlines()
+    assert summary == ("confirmed needed: 0/810, redundant: 810, "
+                       "inconclusive: 0")
+    records = [json.loads(line) for line in lines]
+    assert len(records) == 810
+    assert all(r["verdict"] == "redundant" and r["nodes"] == 0
+               and r["certificate"] for r in records)
+
+
 def test_probe_requires_sample_or_full(capsys):
     code, _, _ = run_cli_expecting_exit(
         ["probe", "--missing", "R2,R5,R8,C2,C5,C8"], capsys)
@@ -177,7 +191,7 @@ def test_probe_reduce_forwards_budget_and_corpus(tmp_path, monkeypatch,
 
     def fake_reduce(board, base, **kwargs):
         calls.append(kwargs)
-        return frozenset(base), []
+        return frozenset(base), [], []
 
     monkeypatch.setattr("redoku.cli.experimental_reduce", fake_reduce)
     code, out, _ = run_cli(
@@ -185,6 +199,7 @@ def test_probe_reduce_forwards_budget_and_corpus(tmp_path, monkeypatch,
          "--corpus", str(corpus_path), "--reduce", "--seed", "5"], capsys)
     assert code == EXIT_OK
     assert "heuristic reduction" in out
+    assert "0 certified drops, 0 heuristic drops" in out
     assert len(calls) == 1
     assert calls[0]["budget"] == 1234
     assert calls[0]["seed"] == 5

@@ -1,15 +1,17 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import redoku.smalls
 import redoku.solver
-from redoku.board import ConstraintSet, parse_missing
-from redoku.smalls import (CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET,
-                           INCONCLUSIVE, SEARCH, _decompose, expand_small,
-                           experimental_reduce, pair_cells, probe_minimality,
-                           probe_pair, sample_probes, small_count_range)
-from redoku.solver import read_corpus, restart_ladder
+from redoku.board import ConstraintSet, parse_missing, region_cells
+from redoku.smalls import (CLOSURE, CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET,
+                           INCONCLUSIVE, REDUNDANT, SEARCH, _decompose,
+                           expand_small, experimental_reduce, pair_cells,
+                           probe_minimality, probe_pair, sample_probes,
+                           small_count_range)
+from redoku.solver import LUBY_UNIT, read_corpus, restart_ladder
 from redoku.symmetry import pair_orbits
 
 MODEL = "R2,R5,R8,C2,C5,C8"
@@ -133,56 +135,142 @@ def test_corpus_probe_shares_one_budget(board, corpus_path):
 
 
 def test_full_base_probe_fixture(board):
-    # Recorded behavior: dropping one box-only pair from the complete
-    # pair set leaves the equality entailed impossible, so the probe can
-    # never find a solution and must spend its whole budget saying so.
+    # Dropping one box-only pair from the complete pair set demotes B4,
+    # and the rows of its chute with the other two boxes re-derive it
+    # (Lemma I), so the closure certifies the pair with no search.  Before
+    # the probe closed the rest, it spent its whole budget of 200,000 nodes
+    # here and was inconclusive.
     base = expand_small(ConstraintSet.full(board))
     probes = sample_probes(base, 1, seed=0)
     assert probes == [(29, 46)]
     assert pair_cells(board, probes[0]) == ((4, 3), (6, 2))
     record = probe_pair(board, base, probes[0])
-    assert record.verdict == INCONCLUSIVE
+    assert record.verdict == REDUNDANT
     assert record.witness is None
-    assert record.nodes == 200_000
+    assert (record.nodes, record.propagations) == (0, 0)
+    assert record.provenance == CLOSURE
+    region, trace = record.certificate
+    assert region == "B4" and trace[-1].endswith("derives B4")
+    assert {(4, 3), (6, 2)} <= {
+        board.cell_coords(c)
+        for c in region_cells(board.parse_label(region), board)}
+
+
+# A pair the closure of its rest cannot decide: (1,4)-(1,5) of this model
+# shares only the present box B2, and no probe finds a solution.
+UNDECIDED_MODEL = "R1,B1,B4,B5,B6,B7"
+UNDECIDED_PAIR = (3, 4)
 
 
 def test_unseeded_probe_stays_within_small_budget(board):
     # Sixteen restart rungs of at least 1,000 nodes each once spent 16,000
-    # nodes on this pair at a budget of 2,000.
-    base = expand_small(ConstraintSet.full(board))
-    record = probe_pair(board, base, (29, 46), budget=2_000)
+    # nodes on such a pair at a budget of 2,000.
+    base = expand_small(parse_missing(board, UNDECIDED_MODEL))
+    record = probe_pair(board, base, UNDECIDED_PAIR, budget=2_000)
     assert record.verdict == INCONCLUSIVE
-    assert record.nodes <= 2_000
+    assert record.certificate is None
+    assert 0 < record.nodes <= 2_000
 
 
 def test_probe_sweep_has_no_heavy_tail(board):
     # Every orbit of the model's pairs holds a pair that finishes in a few
     # dozen nodes, yet one long ascending rung once spent 154,774 nodes on
-    # the 11 searches of this sweep, and searching the pairs of an orbit
-    # one after another 6,421.  Node counts are deterministic.
+    # the 11 searches of this sweep, searching the pairs of an orbit one
+    # after another 6,421, and searching the unclosed rests 5,780.  Node
+    # counts are deterministic.
     base = expand_small(parse_missing(board, MODEL))
     records = probe_minimality(board, base, sorted(base))
     assert sum(r.verdict == CONFIRMED_NEEDED for r in records) == 648
     searched = [r for r in records if r.provenance == SEARCH]
     assert len(searched) == 11
-    assert sum(r.nodes for r in searched) <= 6_421
+    assert sum(r.nodes for r in searched) <= 1_207
+
+
+def replay_certificate(board, base, data):
+    """Check the certificate of a JSON probe record from cell coordinates
+    alone, without rewrite.closure: starting from the whole regions of the
+    rest, each step must fire on the regions so far, and the region it
+    ends with must hold both cells of the pair."""
+    n, side = board.n, board.side
+
+    def cells(label):
+        kind, k = "RCB".index(label[0]), int(label[1:]) - 1
+        return {r * side + c for r in range(side) for c in range(side)
+                if (r, c, r // n * n + c // n)[kind] == k}
+    labels = [f"{kind}{k}" for kind in "RCB" for k in range(1, side + 1)]
+    (r1, c1), (r2, c2) = data["pair"]
+    pair = ((r1 - 1) * side + c1 - 1, (r2 - 1) * side + c2 - 1)
+    rest = base - {pair}
+    present = {label for label in labels
+               if set(combinations(sorted(cells(label)), 2)) <= rest}
+    for step in data["certificate"]["trace"]:
+        lemma, chute, verb, derived = step.split()
+        axis, band = "HV".index(chute[0]), int(chute[1:]) - 1
+        lines = {f"{'RC'[axis]}{band * n + j + 1}" for j in range(n)}
+        boxes = {label for label in labels if label[0] == "B"
+                 and all(divmod(cell, side)[axis] // n == band
+                         for cell in cells(label))}
+        whole, gapped = {"LemmaI": (lines, boxes),
+                         "LemmaII": (boxes, lines)}[lemma]
+        assert verb == "derives"
+        assert whole <= present and gapped - present == {derived}
+        present.add(derived)
+    assert data["certificate"]["region"] == derived
+    assert set(pair) <= cells(derived)
+
+
+@pytest.mark.parametrize("model, certified", [("", 810),
+                                              (UNDECIDED_MODEL, 42)])
+def test_redundant_certificates_replay(board, model, certified):
+    # Every pair of the full model is certified, and the closure certifies
+    # 42 of the 690 pairs of the other model; each record's certificate,
+    # computed for its own pair even when its orbit shares one probe,
+    # replays on its own.
+    base = expand_small(parse_missing(board, model))
+    records = [r.to_json_dict(board)
+               for r in probe_minimality(board, base, sorted(base), budget=1)]
+    redundant = [r for r in records if r["verdict"] == REDUNDANT]
+    assert len(redundant) == certified
+    for record in records:
+        assert (record["certificate"] is None) == (record not in redundant)
+    for record in redundant:
+        assert (record["nodes"], record["witness"]) == (0, None)
+        assert record["provenance"] == CLOSURE
+        replay_certificate(board, base, record)
+
+
+def test_experimental_reduce_reports_certified_drops(board2):
+    # Dropping pairs of the full order-2 model one by one, some drops are
+    # certified against the pairs left at that moment, and the others,
+    # whose probes find no solution, are only heuristic.
+    base = expand_small(ConstraintSet.full(board2))
+    reduced, certified, heuristic = experimental_reduce(board2, base,
+                                                        budget=64)
+    assert (len(reduced), len(certified), len(heuristic)) == (40, 7, 9)
+    assert not (reduced & set(certified)) and not (reduced & set(heuristic))
+    assert reduced | set(certified) | set(heuristic) == base
 
 
 def test_exhaustive_unsat_ends_the_probe(board2, monkeypatch):
-    # At order 2 propagation alone rules out every full-model pair, and a
-    # complete search proves the same under any value order, so the probe
-    # stops after one solve instead of climbing the restart ladder.
+    # In an order-2 Latin square (no boxes) the columns and the other rows
+    # force row 2 to hold every value once, a count over the whole grid
+    # that no chute lemma makes, so the closure certifies nothing.  The
+    # first rung's search is complete and proves the pair unequal, which
+    # holds under any value order, so the probe stops after one solve
+    # instead of climbing the restart ladder; with no certificate the
+    # verdict stays inconclusive.
     calls = []
     real = redoku.solver.solve
     def solve(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(redoku.solver, "solve", solve)
-    base = expand_small(ConstraintSet.full(board2))
-    record = probe_pair(board2, base, sorted(base)[0])
+    base = expand_small(parse_missing(board2, "B1,B2,B3,B4"))
+    record = probe_pair(board2, base, (4, 5))
     assert len(calls) == 1
     assert record.verdict == INCONCLUSIVE
-    assert record.witness is None and record.nodes == 0
+    assert record.witness is None and record.certificate is None
+    assert 0 < record.nodes <= LUBY_UNIT
 
 
 def equal_model_pairs(board, model, grid):
@@ -291,9 +379,10 @@ def test_probe_minimality_shares_an_unconfirmed_search(board, monkeypatch):
 
 
 def test_shared_ladders_are_no_worse_than_own_searches(board):
-    # At a budget where most pairs fail alone, the pairs of one orbit
-    # climbing their ladders together confirm far more, and no pair that
-    # its own search confirms is left inconclusive.
+    # At a budget where many pairs fail alone, the pairs of one orbit
+    # climbing their ladders together confirm more, and no pair that its
+    # own search confirms is left inconclusive.  (On the unclosed rests the
+    # counts were 56 and 12.)
     base = expand_small(parse_missing(board, MODEL))
     probes = sample_probes(base, 64, seed=1542757380)
     shared = probe_minimality(board, base, probes, budget=50)
@@ -304,7 +393,7 @@ def test_shared_ladders_are_no_worse_than_own_searches(board):
             assert together.verdict == CONFIRMED_NEEDED
     confirmed = Counter(r.verdict for r in shared)[CONFIRMED_NEEDED]
     assert (confirmed, Counter(r.verdict for r in alone)[CONFIRMED_NEEDED]) \
-        == (56, 12)
+        == (64, 52)
 
 
 def test_shared_ladder_staggers_each_pairs_rungs(board, monkeypatch):
@@ -336,13 +425,14 @@ def test_shared_ladder_staggers_each_pairs_rungs(board, monkeypatch):
 def test_probe_draw_spends_few_nodes(board):
     # The benchmark's 64-pair draw: one search per orbit, and the pairs of
     # an orbit share their rungs, so no heavy first pair sets its cost.
+    # The closed rests cut the draw from 3,030 nodes to 1,016.
     base = expand_small(parse_missing(board, MODEL))
     probes = sample_probes(base, 64, seed=1542757380)
     records = probe_minimality(board, base, probes)
     assert all(r.verdict == CONFIRMED_NEEDED for r in records)
     searched = [r for r in records if r.provenance == SEARCH]
     assert len(searched) == 11
-    assert sum(r.nodes for r in searched) <= 4_000
+    assert sum(r.nodes for r in searched) <= 1_016
 
 
 def test_probe_minimality_with_corpus_searches_every_pair(board, corpus_path):
@@ -390,8 +480,10 @@ def test_probe_record_json_shape(board):
     record = probe_pair(board, base, sample_probes(base, 1)[0])
     data = record.to_json_dict(board)
     assert set(data) == {"pair", "verdict", "witness", "nodes",
-                         "propagations", "seed_index", "provenance"}
+                         "propagations", "seed_index", "provenance",
+                         "certificate"}
     assert data["provenance"] == "search"
+    assert data["certificate"] is None
     assert isinstance(data["pair"], list) and len(data["pair"]) == 2
     if data["witness"] is not None:
         assert len(data["witness"]) == 81
@@ -402,7 +494,7 @@ def test_experimental_reduce_is_conservative(board):
     # so the heuristic drops nothing.
     base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
     sample = frozenset(sample_probes(base, 20, seed=2))
-    reduced, dropped = experimental_reduce(board, sample, seed=2,
-                                           budget=200_000)
-    assert dropped == []
+    reduced, certified, heuristic = experimental_reduce(
+        board, sample, seed=2, budget=200_000)
+    assert certified == heuristic == []
     assert reduced == sample
