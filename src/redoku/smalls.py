@@ -6,11 +6,11 @@
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .board import Board, ConstraintSet, Grid, region_cells
 from .rewrite import closure
-from .solver import solve_equal
+from .solver import SolverProblem, pin_equal, solve_equal
 from .symmetry import carry_from_root, pair_orbits
 
 CONFIRMED_NEEDED = "confirmed-needed"
@@ -162,29 +162,41 @@ def probe_pair(board: Board, base, pair, corpus=None,
     the chute lemmas (_closed_rest).  If a re-derived region holds both
     cells, Rest entails the pair: the verdict is `redundant`, after no
     search, and the record carries the closure certificate.  Otherwise
-    searches the closed Rest, which admits the same grids, for a grid with
-    the pair's cells equal (solver.solve_equal, `budget` per pair, `corpus`
-    seeding).  A solution proves Rest admits a grid the full model rejects,
-    so the pair is reported as needed.  No solution within budget is
-    inconclusive, and so is an exhaustive refutation, which carries no
-    certificate.  `mates`, pairs whose probes a symmetry maps onto this
-    one's, join the search, each Rest built and closed as its pair joins;
-    the record, with the totals, is the confirmed pair's (the one its
-    witness makes equal), else `pair`'s.
+    solver.solve_equal searches the closed Rest, which admits the same
+    grids, for a grid with the pair's cells equal.  A solution proves Rest
+    admits a grid the full model rejects, so the pair is reported as
+    needed.  No solution within budget is inconclusive, and so is an
+    exhaustive refutation, which carries no certificate.
+
+    On the blank board the pinned pair (solver.pin_equal) races `mates`,
+    pairs whose probes a symmetry maps onto this one's, each Rest closed
+    as it joins, up a ladder of `budget` nodes; the record, with the
+    totals, is the confirmed pair's, else `pair`'s.  Givens break that
+    symmetry, so a `corpus` takes no mates: its puzzles race, unpinned,
+    on equal shares of `budget`; `seed_index` names the one that solved.
     """
+    if corpus and mates:
+        raise ValueError("a corpus search takes no mates")
+    if corpus and budget < len(corpus):
+        raise ValueError(f"node budget {budget} is below the corpus size "
+                         f"{len(corpus)}: every puzzle needs a node")
     (bigs, pair, extras), certificate = _closed_rest(board, base, pair)
     if certificate:
         return _certified(pair, certificate)
-    joining = (_closed_rest(board, base, mate)[0] for mate in mates)
-    outcome, index = solve_equal(bigs, pair, budget, extra_smalls=extras,
-                                 corpus=corpus,
-                                 mates=joining if mates else ())
+    if corpus:
+        problems = (SolverProblem(bigs, extras, (pair,), givens)
+                    for givens in corpus)
+        budget //= len(corpus)
+    else:
+        problems = chain([pin_equal(bigs, pair, extras)],
+                         (pin_equal(*_closed_rest(board, base, mate)[0])
+                          for mate in mates))
+    outcome, index = solve_equal(problems, budget)
+    if outcome.is_solution and not corpus:
+        pair = (pair, *mates)[index]
     verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
-    if outcome.is_solution and mates:
-        values = outcome.grid.values
-        pair = next(p for p in base if values[p[0]] == values[p[1]])
     return ProbeRecord(pair, verdict, outcome.grid, outcome.stats.nodes,
-                       outcome.stats.propagations, index)
+                       outcome.stats.propagations, index if corpus else None)
 
 
 def probe_minimality(board: Board, base, probes, corpus=None,
@@ -198,7 +210,8 @@ def probe_minimality(board: Board, base, probes, corpus=None,
     probed with the others as mates, and its record speaks for them all
     (_share).  In a certified orbit every pair gets its own certificate.
     Corpus givens break the symmetry, so with a corpus, as for a `base`
-    that is not a model expansion, every pair gets its own probe.
+    that is not a model expansion, every pair gets its own probe, raced
+    by the corpus puzzles instead of mates.
     """
     base = frozenset(base)
     probes = [tuple(pair) for pair in probes]

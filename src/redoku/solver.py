@@ -1,9 +1,9 @@
 # Propagation-based backtracking solver over constraint models.  Problems mix
 # big (all-different) constraints, extra binary inequalities, forced-equal cell
 # pairs, and given values; outcomes carry search statistics and are always
-# re-verified before being reported.  One equality search, solve_equal, pins a
-# cell pair equal under one Luby restart ladder, which the pairs of a probe
-# orbit climb staggered.  A cell pair is (a, b), flat cells row-major from 0.
+# re-verified before being reported.  One equality search, solve_equal, races
+# a lazy list of problems up one staggered Luby restart ladder.  A cell pair
+# is (a, b), flat cells row-major from 0.
 
 import random
 from dataclasses import dataclass
@@ -310,19 +310,21 @@ def solve(problem: SolverProblem, budget: int = DEFAULT_NODE_BUDGET,
 def witness_pairs(cset: ConstraintSet):
     """Probe pairs for find_witness, in deterministic order.
 
-    For each absent constraint (ascending id), every cell pair inside its
-    region that no present constraint covers, as a flat (a, b) with a < b,
-    in ascending order.
+    Every cell pair inside an absent constraint's region that no present
+    constraint covers, as a flat (a, b) with a < b, once: absent
+    constraints by ascending id, each region's pairs in ascending order,
+    a pair in two absent regions where it first occurs.
     """
     board = cset.board
     cell_regions = board.cell_region_ids
-    for cid in cset.missing_ids:
-        for a, b in combinations(region_cells(cid, board), 2):
-            covered = any(
-                r in cell_regions[b] and cset.contains(r)
-                for r in cell_regions[a])
-            if not covered:
-                yield cid, (a, b)
+    pairs = (pair for cid in cset.missing_ids
+             for pair in combinations(region_cells(cid, board), 2))
+    for a, b in dict.fromkeys(pairs):
+        covered = any(
+            r in cell_regions[b] and cset.contains(r)
+            for r in cell_regions[a])
+        if not covered:
+            yield a, b
 
 
 def modification_witness(cset: ConstraintSet) -> Grid | None:
@@ -382,7 +384,7 @@ def _checked_witness(grid: Grid, cset: ConstraintSet) -> Grid:
     return grid
 
 
-# The restart ladder of every blank-board equality search is the universal
+# The restart ladder of every equality search is the universal
 # sequence of Luby, Sinclair and Zuckerman (1993).  Satisfiable instances
 # that stall under one value order almost always fall quickly to another, so
 # many shallow rungs and a rare deep one cut the heavy tail of a deep search.
@@ -410,67 +412,52 @@ def restart_ladder(budget: int) -> tuple:
     return tuple(rungs)
 
 
-def solve_equal(bigs: ConstraintSet, pair: tuple[int, int], budget: int,
-                extra_smalls=(), corpus=None, mates=()):
-    """Search for a grid of the model in which the two cells of `pair`, a
-    flat (a, b) like every pair of `extra_smalls`, hold one value, or for
-    one of `mates`, more (bigs, pair, extra_smalls) alternatives taken
-    lazily; the first solution wins.
+def pin_equal(bigs: ConstraintSet, pair: tuple[int, int],
+              extra_smalls=()) -> SolverProblem:
+    """The blank-board problem: a grid of the model in which both cells of
+    `pair`, a flat (a, b) like each pair of `extra_smalls`, hold 1.
+    Relabeling values maps solutions to solutions, so the pin costs no
+    generality."""
+    pin = tuple(int(cell in pair) for cell in range(bigs.board.num_cells))
+    return SolverProblem(bigs, extra_smalls, (pair,), Grid(bigs.board, pin))
 
-    `budget` >= 1 bounds the nodes of each alternative.  Without a corpus,
-    the pair is pinned to value 1 (relabeling values maps solutions to
-    solutions, so the pin costs no generality) and restart_ladder(budget)
-    runs; a rung proving the instance unsatisfiable retires the
-    alternative, since a complete search under any value order proves the
-    same.  Mate j joins at step j + 1, and each step runs the next rung of
-    every alternative joined, oldest first: each climbs a prefix of its own
-    ladder, so none ends worse than its own search would.  A corpus takes
-    no mates (givens break their symmetry); each puzzle in order seeds the
-    search with an equal share of the budget, and only a solution is
-    conclusive; a budget below the number of puzzles is rejected.
 
-    Returns (outcome with the stats of every attempt summed, UNSATISFIABLE
-    only if every alternative was refuted; solving puzzle's index or None).
+def solve_equal(problems, budget: int):
+    """Race the alternatives of `problems`, taken lazily, up one ladder.
+
+    Each climbs restart_ladder(budget), so `budget` >= 1 bounds the nodes
+    of each, and the first solution wins.  Alternative j joins at step
+    j + 1, and each step runs the next rung of every alternative joined,
+    oldest first: each climbs a prefix of its own ladder, so none ends
+    worse than its own search would.  A rung proving its problem
+    unsatisfiable retires it, since a complete search under any value
+    order proves the same.
+
+    Returns (outcome summing every attempt's stats, UNSATISFIABLE only if
+    every alternative was refuted; the solving alternative's index or None).
     """
     if budget < 1:
         raise ValueError(f"node budget must be positive, got {budget}")
-    if corpus and budget < len(corpus):
-        raise ValueError(f"node budget {budget} is below the corpus size "
-                         f"{len(corpus)}: every puzzle needs a node")
-    if corpus and mates:
-        raise ValueError("a corpus search takes no mates")
-    ladder = None if corpus else restart_ladder(budget)
-
-    def climb(alternative):
-        bigs, pair, extra_smalls = alternative
-        board = bigs.board
-        if corpus:
-            return ((index, SolverProblem(bigs, extra_smalls, (pair,), givens),
-                     None, budget // len(corpus))
-                    for index, givens in enumerate(corpus))
-        pin = tuple(int(cell in pair) for cell in range(board.num_cells))
-        pinned = SolverProblem(bigs, extra_smalls, (pair,), Grid(board, pin))
-        return ((None, pinned, seed, limit) for seed, limit in ladder)
-
-    waiting, climbs = iter(mates), [climb((bigs, pair, extra_smalls))]
-    status, nodes, propagations = UNSATISFIABLE, 0, 0
-    while climbs:
-        for attempts in list(climbs):
-            for index, attempt, value_seed, node_limit in attempts:
-                outcome = solve(attempt, budget=node_limit,
+    joining = ((index, problem, iter(restart_ladder(budget)))
+               for index, problem in enumerate(problems))
+    status, nodes, propagations, climbs = UNSATISFIABLE, 0, 0, []
+    while climbs := climbs + list(islice(joining, 1)):
+        for climb in list(climbs):
+            index, problem, rungs = climb
+            for value_seed, node_limit in rungs:
+                outcome = solve(problem, budget=node_limit,
                                 value_order_seed=value_seed)
                 nodes += outcome.stats.nodes
                 propagations += outcome.stats.propagations
                 if outcome.is_solution:
                     stats = SolveStats(nodes, propagations)
                     return SolverOutcome(SOLUTION, outcome.grid, stats), index
-                if outcome.status == UNSATISFIABLE and not corpus:
-                    climbs.remove(attempts)
+                if outcome.status == UNSATISFIABLE:
+                    climbs.remove(climb)
                 break  # one rung per step
             else:  # the top of its ladder, with no refutation
-                climbs.remove(attempts)
+                climbs.remove(climb)
                 status = BUDGET
-        climbs += map(climb, islice(waiting, 1))
     return SolverOutcome(status, None, SolveStats(nodes, propagations)), None
 
 
@@ -488,10 +475,9 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     The pipeline calls it only for catalog entries; classes take an entry's
     witness moved by a symmetry.  Models whose derivation closure reaches
     the full set are entailed, so no witness can exist; they short-circuit
-    to None without any search.
-    Otherwise constant-time edits of the pattern grid are tried first
-    (modification_witness), then an equality search on each uncovered
-    in-region cell pair (witness_pairs).  Returns
+    to None without any search.  Otherwise constant-time edits of the
+    pattern grid are tried first (modification_witness), then an equality
+    search on each uncovered in-region cell pair (witness_pairs).  Returns
     None when every search is exhausted or over budget; that outcome
     carries no proof either way.
     """
@@ -504,14 +490,14 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     if edited is not None:
         return edited
     retry = []
-    for _, pair in witness_pairs(cset):
-        outcome, _ = solve_equal(cset, pair, WITNESS_BUDGET)
+    for pair in witness_pairs(cset):
+        outcome, _ = solve_equal([pin_equal(cset, pair)], WITNESS_BUDGET)
         if outcome.is_solution:
             return _checked_witness(outcome.grid, cset)
         if outcome.status == BUDGET:
             retry.append(pair)
     for pair in retry:
-        outcome, _ = solve_equal(cset, pair, WITNESS_RETRY_BUDGET)
+        outcome, _ = solve_equal([pin_equal(cset, pair)], WITNESS_RETRY_BUDGET)
         if outcome.is_solution:
             return _checked_witness(outcome.grid, cset)
     return None

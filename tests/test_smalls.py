@@ -134,6 +134,26 @@ def test_corpus_probe_shares_one_budget(board, corpus_path):
     assert record.nodes <= 200_000
 
 
+def test_probe_pair_rejects_a_budget_below_the_corpus_size(board,
+                                                           corpus_path):
+    puzzles, _ = read_corpus(corpus_path, board)
+    base = expand_small(parse_missing(board, MODEL))
+    pair = (board.cell_index(5, 1), board.cell_index(5, 2))
+    with pytest.raises(ValueError, match="below the corpus size 6"):
+        probe_pair(board, base, pair, corpus=puzzles, budget=5)
+    # One node per puzzle is the least budget accepted.
+    record = probe_pair(board, base, pair, corpus=puzzles, budget=6)
+    assert record.nodes <= 6
+
+
+def test_probe_pair_rejects_a_corpus_with_mates(board, corpus_path):
+    # Givens break the symmetry that lets alternatives share one search.
+    puzzles, _ = read_corpus(corpus_path, board)
+    base = expand_small(parse_missing(board, MODEL))
+    with pytest.raises(ValueError, match="corpus search takes no mates"):
+        probe_pair(board, base, (0, 1), corpus=puzzles, mates=[(0, 2)])
+
+
 def test_full_base_probe_fixture(board):
     # Dropping one box-only pair from the complete pair set demotes B4,
     # and the rows of its chute with the other two boxes re-derive it
@@ -422,7 +442,7 @@ def test_shared_ladder_staggers_each_pairs_rungs(board, monkeypatch):
     assert joined > 0
 
 
-def test_probe_draw_spends_few_nodes(board):
+def test_probe_draw_spends_few_nodes(board, corpus_path):
     # The benchmark's 64-pair draw: one search per orbit, and the pairs of
     # an orbit share their rungs, so no heavy first pair sets its cost.
     # The closed rests cut the draw from 3,030 nodes to 1,016.
@@ -433,6 +453,16 @@ def test_probe_draw_spends_few_nodes(board):
     searched = [r for r in records if r.provenance == SEARCH]
     assert len(searched) == 11
     assert sum(r.nodes for r in searched) <= 1_016
+    # Seeded from the corpus, every pair is searched, its puzzles racing up
+    # the restart ladder.  One ascending solve per puzzle spent 38,988
+    # nodes here, 33,358 of them on one pair.
+    puzzles, _ = read_corpus(corpus_path, board)
+    records = probe_minimality(board, base, probes, corpus=puzzles)
+    assert all(r.verdict == CONFIRMED_NEEDED for r in records)
+    assert sum(r.nodes for r in records) <= 2_208
+    for r in records:
+        givens = puzzles[r.seed_index].values
+        assert all(g in (0, v) for g, v in zip(givens, r.witness.values))
 
 
 def test_probe_minimality_with_corpus_searches_every_pair(board, corpus_path):

@@ -10,8 +10,8 @@ from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
                            UNSATISFIABLE, WITNESS_BUDGET, SolverProblem,
                            find_witness, luby, modification_witness,
-                           parse_puzzle_line, read_corpus, restart_ladder,
-                           solve, solve_equal, witness_pairs)
+                           parse_puzzle_line, pin_equal, read_corpus,
+                           restart_ladder, solve, solve_equal, witness_pairs)
 
 
 def test_full_board_solves(board):
@@ -158,14 +158,21 @@ def test_witness_pairs_order(board):
     cset = parse_missing(board, "C1,C3")
     pairs = list(witness_pairs(cset))
     assert pairs
-    first_cid, (a, b) = pairs[0]
-    assert board.id_label(first_cid) == "C1"
+    a, b = pairs[0]
+    assert a % 9 == b % 9 == 0  # the first pair lies in column C1
     assert a < b
     # Pairs already covered by a present region are left out: same-box
     # column neighbors stay covered by their box.
-    for cid, (p, q) in pairs:
+    for p, q in pairs:
         assert p % 9 == q % 9  # both cells in the absent column
         assert p // 27 != q // 27  # never in one box
+
+
+def test_witness_pairs_yields_each_pair_once(board):
+    # The pairs inside B1 that lie in R1 or C1 are in two absent regions;
+    # each is searched once.
+    pairs = list(witness_pairs(parse_missing(board, "R1,C1,B1")))
+    assert len(pairs) == len(set(pairs)) == 78
 
 
 def test_modification_witness_families(board):
@@ -279,19 +286,7 @@ def test_restart_ladder_sums_to_its_budget(budget):
 @pytest.mark.parametrize("budget", [0, -5])
 def test_solve_equal_rejects_a_budget_below_one(board, budget):
     with pytest.raises(ValueError, match="budget must be positive"):
-        solve_equal(ConstraintSet.full(board), (0, 12), budget)
-
-
-def test_solve_equal_rejects_a_budget_below_the_corpus_size(
-        board, corpus_path):
-    puzzles, _ = read_corpus(corpus_path, board)
-    with pytest.raises(ValueError, match="below the corpus size 6"):
-        solve_equal(ConstraintSet.full(board), (0, 12), 5,
-                    corpus=puzzles)
-    # One node per puzzle is the least budget accepted.
-    outcome, _ = solve_equal(ConstraintSet.full(board), (0, 12), 6,
-                             corpus=puzzles)
-    assert outcome.stats.nodes <= 6
+        solve_equal([pin_equal(ConstraintSet.full(board), (0, 12))], budget)
 
 
 def test_solve_equal_retires_a_refuted_alternative(board, board2,
@@ -302,7 +297,7 @@ def test_solve_equal_retires_a_refuted_alternative(board, board2,
     base = expand_small(ConstraintSet.full(board2))
     pair = sorted(base)[0]
     bigs, extras = _decompose(board2, base - {pair})
-    apart = (parse_missing(board2, "C1,C2"), (0, 8), ())
+    apart = parse_missing(board2, "C1,C2")
     calls = []
     real = redoku.solver.solve
     def solve(problem, budget, value_order_seed=None):
@@ -311,35 +306,25 @@ def test_solve_equal_retires_a_refuted_alternative(board, board2,
         calls.append((problem.equalities, outcome.status))
         return outcome
     monkeypatch.setattr(redoku.solver, "solve", solve)
-    outcome, index = solve_equal(bigs, pair, 1_000, extra_smalls=extras,
-                                 mates=[apart])
+    refuted = pin_equal(bigs, pair, extras)
+    outcome, index = solve_equal([refuted, pin_equal(apart, (0, 8))], 1_000)
     assert calls == [((pair,), UNSATISFIABLE), (((0, 8),), SOLUTION)]
-    assert outcome.is_solution and index is None
+    assert outcome.is_solution and index == 1
     assert outcome.grid.values[0] == outcome.grid.values[8]
-    assert verify_grid(outcome.grid, apart[0]) == frozenset()
+    assert verify_grid(outcome.grid, apart) == frozenset()
     # Refuted alternatives alone end the search as unsatisfiable; one that
     # only runs out of rungs leaves it over budget.
     calls.clear()
-    outcome, _ = solve_equal(bigs, pair, 1_000, extra_smalls=extras,
-                             mates=[(bigs, pair, extras)])
+    outcome, _ = solve_equal([refuted, refuted], 1_000)
     assert outcome.status == UNSATISFIABLE and len(calls) == 2
     calls.clear()
     full = ConstraintSet.full(board)
     stuck, extras = _decompose(board, expand_small(full) - {(29, 46)})
-    outcome, _ = solve_equal(full, (0, 1), 100,
-                             mates=[(stuck, (29, 46), extras)])
+    outcome, _ = solve_equal(
+        [pin_equal(full, (0, 1)), pin_equal(stuck, (29, 46), extras)], 100)
     # Its ladder for 100 nodes has two rungs, 64 and 36 nodes.
     assert calls == [(((0, 1),), UNSATISFIABLE)] + [(((29, 46),), BUDGET)] * 2
     assert outcome.status == BUDGET and outcome.stats.nodes == 100
-
-
-def test_solve_equal_rejects_a_corpus_with_mates(board, corpus_path):
-    # Givens break the symmetry that lets alternatives share one search.
-    puzzles, _ = read_corpus(corpus_path, board)
-    full = ConstraintSet.full(board)
-    with pytest.raises(ValueError, match="corpus search takes no mates"):
-        solve_equal(full, (0, 12), 1_000, corpus=puzzles,
-                    mates=[(full, (0, 13), ())])
 
 
 def test_parse_puzzle_line(board, board2):

@@ -18,14 +18,16 @@ from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
 from helpers import covers
 
 
-def bfs_orbit(cset):
-    """Orbit of a mask under the generator closure, by plain BFS.
+def bfs_walk(cset):
+    """Yield the orbit of a mask under the generator closure, by plain BFS,
+    each mask once; a membership test stops as soon as it meets its mask.
 
     Independent of the canonical-form machinery; used as an oracle.
     """
     gens = generators(cset.board)
     seen = {cset.mask}
     frontier = [cset.mask]
+    yield cset.mask
     while frontier:
         nxt = []
         for mask in frontier:
@@ -34,8 +36,12 @@ def bfs_orbit(cset):
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
+                    yield image
         frontier = nxt
-    return frozenset(seen)
+
+
+def bfs_orbit(cset):
+    return frozenset(bfs_walk(cset))
 
 
 def identity(board):
@@ -177,7 +183,7 @@ def test_canonicalize_is_idempotent_and_in_orbit(board):
         cset = ConstraintSet(board, mask)
         canon = canonicalize(cset)
         assert canonicalize(canon) == canon
-        assert canon.mask in bfs_orbit(cset)
+        assert canon.mask in bfs_walk(cset)
         assert canonical_key(canon) == canonical_key(cset)
 
 
