@@ -461,10 +461,9 @@ def solve_equal(problems, budget: int):
     return SolverOutcome(status, None, SolveStats(nodes, propagations)), None
 
 
-# Node budgets of witness search: one climb of the restart ladder per pair,
-# then a deeper retry of the pairs that only ran out of budget.
+# Node budget of witness search: each uncovered pair climbs the restart
+# ladder up to this many nodes, all pairs racing in one solve_equal call.
 WITNESS_BUDGET = 16_000
-WITNESS_RETRY_BUDGET = 600_000
 
 
 def find_witness(cset: ConstraintSet) -> Grid | None:
@@ -476,8 +475,9 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     witness moved by a symmetry.  Models whose derivation closure reaches
     the full set are entailed, so no witness can exist; they short-circuit
     to None without any search.  Otherwise constant-time edits of the
-    pattern grid are tried first (modification_witness), then an equality
-    search on each uncovered in-region cell pair (witness_pairs).  Returns
+    pattern grid are tried first (modification_witness), then one
+    solve_equal race of the equality searches on the uncovered in-region
+    cell pairs (witness_pairs), each up to WITNESS_BUDGET nodes.  Returns
     None when every search is exhausted or over budget; that outcome
     carries no proof either way.
     """
@@ -489,18 +489,9 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     edited = modification_witness(cset)
     if edited is not None:
         return edited
-    retry = []
-    for pair in witness_pairs(cset):
-        outcome, _ = solve_equal([pin_equal(cset, pair)], WITNESS_BUDGET)
-        if outcome.is_solution:
-            return _checked_witness(outcome.grid, cset)
-        if outcome.status == BUDGET:
-            retry.append(pair)
-    for pair in retry:
-        outcome, _ = solve_equal([pin_equal(cset, pair)], WITNESS_RETRY_BUDGET)
-        if outcome.is_solution:
-            return _checked_witness(outcome.grid, cset)
-    return None
+    outcome, _ = solve_equal(
+        (pin_equal(cset, pair) for pair in witness_pairs(cset)), WITNESS_BUDGET)
+    return _checked_witness(outcome.grid, cset) if outcome.is_solution else None
 
 
 def parse_puzzle_line(board: Board, line: str) -> Grid:

@@ -229,14 +229,18 @@ def test_find_witness_by_equality_search(board):
 
 
 def recording_solves(monkeypatch):
-    """Record (value_order_seed, budget) of every equality solve."""
+    """Record (problem, value_order_seed, budget, nodes) of every equality
+    solve, in call order."""
     calls = []
     real = redoku.solver.solve
 
     def solve(problem, budget=DEFAULT_NODE_BUDGET, value_order_seed=None):
+        outcome = real(problem, budget=budget,
+                       value_order_seed=value_order_seed)
         if problem.equalities:
-            calls.append((value_order_seed, budget))
-        return real(problem, budget=budget, value_order_seed=value_order_seed)
+            calls.append((problem, value_order_seed, budget,
+                          outcome.stats.nodes))
+        return outcome
     monkeypatch.setattr(redoku.solver, "solve", solve)
     return calls
 
@@ -251,17 +255,48 @@ def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
         board, expand_small(parse_missing(board, "R1,B1,B4,B5,B6,B7")),
         (3, 4), budget=WITNESS_BUDGET)
     assert record.verdict == INCONCLUSIVE
-    ladder = list(calls)
+    ladder = [(seed, limit) for _, seed, limit, _ in calls]
     assert ladder[0] == (None, LUBY_UNIT) == (None, 64)
     assert sum(nodes for _, nodes in ladder) == record.nodes == WITNESS_BUDGET
     assert ladder == list(restart_ladder(WITNESS_BUDGET))
     calls.clear()
+    # The pairs of a witness search race, so their climbs interleave:
+    # group the rungs by problem, one problem per pair.
     assert find_witness(parse_missing(board, "R1,R4,B1,B5,B7,B8")) is not None
-    starts = [i for i, (seed, _) in enumerate(calls) if seed is None]
-    assert starts and starts[0] == 0
-    climbs = [calls[i:j] for i, j in zip(starts, starts[1:] + [len(calls)])]
-    assert all(climb == ladder[:len(climb)] for climb in climbs)
-    assert max(len(climb) for climb in climbs) > 1
+    climbs = {}
+    for problem, seed, limit, _ in calls:
+        climbs.setdefault(problem, []).append((seed, limit))
+    assert climbs
+    assert all(climb == ladder[:len(climb)] for climb in climbs.values())
+    assert max(len(climb) for climb in climbs.values()) > 1
+
+
+def test_find_witness_has_one_budget(board, monkeypatch):
+    # At a 64-node budget every pair of this model stops at its budget, and
+    # none gets a second, deeper climb: the search gives up after exactly
+    # one 64-node rung per pair.
+    monkeypatch.setattr(redoku.solver, "WITNESS_BUDGET", 64)
+    calls = recording_solves(monkeypatch)
+    cset = parse_missing(board, "B1,B2,B4,B6,B8,B9")
+    assert find_witness(cset) is None
+    assert len(list(witness_pairs(cset))) == len(calls) == 108
+    assert sum(nodes for *_, nodes in calls) == 108 * 64
+    assert max(limit for _, _, limit, _ in calls) == 64
+
+
+def test_find_witness_races_the_pairs(board, monkeypatch):
+    # A seven-missing catalog entry whose first searched pairs stall: the
+    # race finds a grid on a later pair before any pair spends its budget.
+    calls = recording_solves(monkeypatch)
+    cset = parse_missing(board, "R1,C1,B2,B4,B6,B8,B9")
+    assert modification_witness(cset) is None
+    grid = find_witness(cset)
+    assert grid is not None
+    assert sum(nodes for *_, nodes in calls) < WITNESS_BUDGET
+    assert verify_grid(grid, cset) == frozenset()
+    violated = verify_grid(grid, ConstraintSet.full(board))
+    assert violated
+    assert violated <= set(cset.missing_ids)
 
 
 def test_luby_terms():
