@@ -26,8 +26,7 @@ from .figures import render_ascii, render_class_sheets, render_svg
 from .pipeline import minimal_catalog, run_classification
 from .rewrite import closure
 from .smalls import (CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET, INCONCLUSIVE,
-                     REDUNDANT, expand_small, experimental_reduce,
-                     probe_minimality, sample_probes)
+                     REDUNDANT, expand_small, probe_minimality, sample_probes)
 from .solver import (DEFAULT_NODE_BUDGET, SolverProblem, parse_puzzle_line,
                      read_corpus, solve)
 
@@ -91,11 +90,7 @@ def _build_parser() -> _Parser:
                    help="node budget per requested pair (default %(default)s)")
     p.add_argument("--jsonl", default="-", metavar="PATH",
                    help="probe report destination (default: stdout)")
-    p.add_argument("--reduce", action="store_true",
-                   help="afterwards, greedily drop unconfirmed pairs "
-                        "(a candidate, not a proof: only redundant drops "
-                        "are certified)")
-    common(p, seed_for="--sample and --reduce")
+    common(p, seed_for="--sample")
 
     p = sub.add_parser("solve", help="solve one problem instance")
     p.add_argument("--missing", default="", metavar="LABELS",
@@ -176,6 +171,13 @@ def _parse_model(parser, args) -> ConstraintSet:
         parser.error(str(exc))
 
 
+def _load_corpus(path: str, board: Board) -> list:
+    puzzles, diagnostics = read_corpus(path, board)
+    for lineno, message in diagnostics:
+        print(f"{path}:{lineno}: {message}", file=sys.stderr)
+    return puzzles
+
+
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -234,9 +236,7 @@ def _cmd_probe(parser, args) -> int:
         probes = sample_probes(base, args.sample, args.seed)
     corpus = None
     if args.corpus is not None:
-        corpus, diagnostics = read_corpus(args.corpus, board)
-        for lineno, message in diagnostics:
-            print(f"{args.corpus}:{lineno}: {message}", file=sys.stderr)
+        corpus = _load_corpus(args.corpus, board)
         if not corpus:
             print(f"error: no usable puzzles in {args.corpus}",
                   file=sys.stderr)
@@ -250,12 +250,6 @@ def _cmd_probe(parser, args) -> int:
     print(f"confirmed needed: {verdicts[CONFIRMED_NEEDED]}/{len(records)}, "
           f"redundant: {verdicts[REDUNDANT]}, "
           f"inconclusive: {verdicts[INCONCLUSIVE]}")
-    if args.reduce:
-        reduced, certified, heuristic = experimental_reduce(
-            board, base, seed=args.seed, budget=args.budget, corpus=corpus)
-        print(f"heuristic reduction: {len(base)} -> {len(reduced)} pairs "
-              f"({len(certified)} certified drops, {len(heuristic)} "
-              f"heuristic drops; a candidate only, not a proof)")
     return EXIT_OK
 
 
@@ -287,9 +281,7 @@ def _cmd_solve(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     elif args.corpus is not None:
-        puzzles, diagnostics = read_corpus(args.corpus, board)
-        for lineno, message in diagnostics:
-            print(f"{args.corpus}:{lineno}: {message}", file=sys.stderr)
+        puzzles = _load_corpus(args.corpus, board)
         index = args.index
         if not 0 <= index < len(puzzles):
             print(f"error: corpus has {len(puzzles)} puzzles, "
@@ -335,8 +327,7 @@ def _cmd_catalog(parser, args) -> int:
     for i, entry in enumerate(entries, 1):
         print(f"{i}: {entry.label}")
     if args.json:
-        data = [{"missing": e.label, "witness": e.witness.to_line()}
-                for e in entries]
+        data = [e.to_json_dict() for e in entries]
         _write_text(args.json,
                     json.dumps(data, sort_keys=True, indent=2) + "\n")
         print(f"catalog written to {args.json}")

@@ -30,6 +30,9 @@ class CatalogEntry:
     def label(self) -> str:
         return self.cset.missing_labels()
 
+    def to_json_dict(self) -> dict:
+        return {"missing": self.label, "witness": self.witness.to_line()}
+
 
 @dataclass(frozen=True)
 class ClassRecord:
@@ -92,9 +95,7 @@ class ClassificationReport:
             "sudoku_classes": [c.missing_labels() for c in self.sudoku_classes],
             "non_sudoku_classes": [
                 c.missing_labels() for c in self.non_sudoku_classes],
-            "catalog": [
-                {"missing": e.label, "witness": e.witness.to_line()}
-                for e in self.catalog],
+            "catalog": [e.to_json_dict() for e in self.catalog],
             "classes": [r.to_json_dict() for r in self.records],
             "elapsed_seconds": self.elapsed,
         }

@@ -261,28 +261,3 @@ def _share(board: Board, base, source: ProbeRecord, orbits,
                            f"makes pairs {equal[:3]} equal")
     return ProbeRecord(pair, CONFIRMED_NEEDED, witness,
                        0, 0, provenance=f"transported:{r1},{c1}-{r2},{c2}")
-
-
-def experimental_reduce(board: Board, base, seed: int = 0,
-                        budget: int = 50_000, corpus=None):
-    """Greedy search for a smaller pair set with no found counterexample.
-
-    Drops, in a seeded shuffled order, each pair whose probe against the
-    pairs left at that moment (seeded from the corpus if one is given) is
-    `redundant` or `inconclusive`.  A redundant drop carries a closure
-    certificate against those pairs; an inconclusive one rests on a failure
-    to disprove, not a proof.  The result is a candidate reduction only,
-    and no minimality is claimed.  Returns (reduced_set, certified_drops,
-    heuristic_drops).
-    """
-    current = set(base)
-    order = sorted(current)
-    random.Random(seed).shuffle(order)
-    dropped = {REDUNDANT: [], INCONCLUSIVE: []}
-    for pair in order:
-        record = probe_pair(board, frozenset(current), pair, corpus=corpus,
-                            budget=budget)
-        if record.verdict in dropped:
-            current.discard(pair)
-            dropped[record.verdict].append(pair)
-    return frozenset(current), dropped[REDUNDANT], dropped[INCONCLUSIVE]

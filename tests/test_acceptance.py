@@ -241,15 +241,17 @@ def test_criterion_7_property_suites():
         assert outcome.is_solution == brute_force_satisfiable(problem)
 
 
-def test_criterion_8_global_minimality_left_unclaimed():
+def test_criterion_8_global_minimality_left_unclaimed(capsys):
     # Whether some strictly smaller pair set is equivalent to the full
     # model globally, and which subsets each of the 39 classes can shed,
-    # are open search problems needing external solvers and unbounded
-    # budgets.  This package only confirms sampled pairs as needed and
-    # ships one clearly labeled heuristic; nothing claims the stronger
-    # results, which is exactly what this check pins down.
-    from redoku.smalls import experimental_reduce
+    # are open search problems.  This package certifies single pairs only,
+    # each by a closure certificate or a witness grid, and ships no
+    # reducer whose drops rest on a search that merely failed to disprove.
+    import redoku.smalls
+    from redoku.cli import EXIT_USAGE, main
 
-    doc = experimental_reduce.__doc__
-    assert "candidate" in doc
-    assert "not a proof" in doc or "not proofs" in doc or "no found" in doc
+    assert not hasattr(redoku.smalls, "experimental_reduce")
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--sample", "1", "--reduce"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--reduce" in capsys.readouterr().err

@@ -183,29 +183,6 @@ def test_probe_budget_below_corpus_size_is_usage_error(corpus_path, tmp_path,
     assert not out_path.exists()
 
 
-def test_probe_reduce_forwards_budget_and_corpus(tmp_path, monkeypatch,
-                                                  capsys):
-    corpus_path = tmp_path / "order2.txt"
-    corpus_path.write_text("1234000000000000\n")
-    calls = []
-
-    def fake_reduce(board, base, **kwargs):
-        calls.append(kwargs)
-        return frozenset(base), [], []
-
-    monkeypatch.setattr("redoku.cli.experimental_reduce", fake_reduce)
-    code, out, _ = run_cli(
-        ["probe", "--order", "2", "--sample", "1", "--budget", "1234",
-         "--corpus", str(corpus_path), "--reduce", "--seed", "5"], capsys)
-    assert code == EXIT_OK
-    assert "heuristic reduction" in out
-    assert "0 certified drops, 0 heuristic drops" in out
-    assert len(calls) == 1
-    assert calls[0]["budget"] == 1234
-    assert calls[0]["seed"] == 5
-    assert [g.to_line() for g in calls[0]["corpus"]] == ["1234000000000000"]
-
-
 def test_probe_corpus_from_env(corpus_path, monkeypatch, capsys):
     monkeypatch.setenv(CORPUS_ENV, str(corpus_path))
     code, out, _ = run_cli(

@@ -8,9 +8,8 @@ import redoku.solver
 from redoku.board import ConstraintSet, parse_missing, region_cells
 from redoku.smalls import (CLOSURE, CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET,
                            INCONCLUSIVE, REDUNDANT, SEARCH, _decompose,
-                           expand_small, experimental_reduce, pair_cells,
-                           probe_minimality, probe_pair, sample_probes,
-                           small_count_range)
+                           expand_small, pair_cells, probe_minimality,
+                           probe_pair, sample_probes, small_count_range)
 from redoku.solver import LUBY_UNIT, read_corpus, restart_ladder
 from redoku.symmetry import pair_orbits
 
@@ -259,18 +258,6 @@ def test_redundant_certificates_replay(board, model, certified):
         replay_certificate(board, base, record)
 
 
-def test_experimental_reduce_reports_certified_drops(board2):
-    # Dropping pairs of the full order-2 model one by one, some drops are
-    # certified against the pairs left at that moment, and the others,
-    # whose probes find no solution, are only heuristic.
-    base = expand_small(ConstraintSet.full(board2))
-    reduced, certified, heuristic = experimental_reduce(board2, base,
-                                                        budget=64)
-    assert (len(reduced), len(certified), len(heuristic)) == (40, 7, 9)
-    assert not (reduced & set(certified)) and not (reduced & set(heuristic))
-    assert reduced | set(certified) | set(heuristic) == base
-
-
 def test_exhaustive_unsat_ends_the_probe(board2, monkeypatch):
     # In an order-2 Latin square (no boxes) the columns and the other rows
     # force row 2 to hold every value once, a count over the whole grid
@@ -517,14 +504,3 @@ def test_probe_record_json_shape(board):
     assert isinstance(data["pair"], list) and len(data["pair"]) == 2
     if data["witness"] is not None:
         assert len(data["witness"]) == 81
-
-
-def test_experimental_reduce_is_conservative(board):
-    # With a healthy budget every pair of the minimal set gets confirmed,
-    # so the heuristic drops nothing.
-    base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
-    sample = frozenset(sample_probes(base, 20, seed=2))
-    reduced, certified, heuristic = experimental_reduce(
-        board, sample, seed=2, budget=200_000)
-    assert certified == heuristic == []
-    assert reduced == sample
