@@ -183,7 +183,7 @@ class _Engine:
         self.dirty.clear()
 
     def propagate(self) -> bool:
-        dom = self.dom
+        dom, full = self.dom, (1 << self.side) - 1
         while True:
             while self.queue:
                 var = self.queue.pop()
@@ -193,27 +193,27 @@ class _Engine:
                     if d & bit:
                         if not self._set_dom(nb, d & ~bit):
                             return False
-            # Hidden singles: a value with one remaining home in a region.
+            # Hidden singles, one pass per region: `twice` gathers the values
+            # with two homes, and a member that is the only home of two fails.
             if not self.dirty:
                 return True
             sweep, self.dirty = self.dirty, set()
             for ri in sorted(sweep):
                 members = self.regions[ri]
-                for bit_pos in range(self.side):
-                    bit = 1 << bit_pos
-                    count = 0
-                    last = -1
-                    for var in members:
-                        if dom[var] & bit:
-                            count += 1
-                            last = var
-                            if count > 1:
-                                break
-                    if count == 0:
+                once = twice = 0
+                for var in members:
+                    d = dom[var]
+                    twice |= once & d
+                    once |= d
+                if once != full:
+                    return False
+                singles = once & ~twice
+                for var in members if singles else ():
+                    bit = dom[var] & singles
+                    if bit & (bit - 1):
                         return False
-                    if count == 1 and dom[last] != bit:
-                        if not self._set_dom(last, bit):
-                            return False
+                    if bit and dom[var] != bit:
+                        self._set_dom(var, bit)
             if not self.queue and not self.dirty:
                 return True
 

@@ -39,27 +39,27 @@ class Symmetry:
             if any(lines[i] // n != lines[i - i % n] // n for i in range(side)):
                 raise ValueError("line permutation splits a band or stack")
 
-    def _image(self, cell: int) -> int:
-        r, c = divmod(cell, self.board.side)
-        if self.transpose:
-            r, c = c, r
-        return self.rows[r] * self.board.side + self.cols[c]
-
     @cached_property
     def cells(self) -> tuple[int, ...]:
-        """cells[c] = the cell that cell c moves to (flat indices)."""
-        return tuple(map(self._image, range(self.board.num_cells)))
+        """cells[c] = the cell that cell c moves to: cell (r, c), read as
+        (c, r) when transposed, goes to rows[r] * side + cols[c]."""
+        starts = [r * self.board.side for r in self.rows]
+        if self.transpose:
+            return tuple(s + c for c in self.cols for s in starts)
+        return tuple(s + c for s in starts for c in self.cols)
 
     @cached_property
     def labels(self) -> tuple[int, ...]:
-        """labels[i] = the id of the region that region i moves to.  A
-        region's first and last cells share no other region, so it is the
-        one region that holds both their images (`cells` is not filled)."""
-        regions = self.board.cell_region_ids
-        return tuple(
-            (set(regions[self._image(cells[0])])
-             & set(regions[self._image(cells[-1])])).pop()
-            for cells in self.board.region_cells_all)
+        """labels[i] = the id of the region that region i moves to.  A line
+        follows its line permutation, rows and columns exchanged when
+        transposed; a box follows its band and stack."""
+        n, side = self.board.n, self.board.side
+        rows, cols = self.rows, tuple(side + c for c in self.cols)
+        bands = [2 * side + r // n * n for r in self.rows[::n]]
+        stacks = [c // n for c in self.cols[::n]]
+        if self.transpose:
+            return cols + rows + tuple(b + s for s in stacks for b in bands)
+        return rows + cols + tuple(b + s for b in bands for s in stacks)
 
     def apply_mask(self, mask: int) -> int:
         # Models are mostly present constraints: clear the absent ones'

@@ -9,7 +9,7 @@ from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
 from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
                            UNSATISFIABLE, WITNESS_BUDGET, SolverProblem,
-                           find_witness, luby, modification_witness,
+                           _Engine, find_witness, luby, modification_witness,
                            parse_puzzle_line, pin_equal, read_corpus,
                            restart_ladder, solve, solve_equal, witness_pairs)
 
@@ -152,6 +152,46 @@ def test_solver_matches_brute_force_on_small_boards(board2):
         assert outcome.is_solution == brute_force_satisfiable(problem)
         agree += 1
     assert agree == 100
+
+
+def row_one_engine(board2, domains):
+    """An engine on the order-2 model with only R1 present, its four cells
+    given `domains` (value bit masks) and R1 marked for the sweep."""
+    engine = _Engine(SolverProblem(ConstraintSet(board2, 1)))
+    assert engine.regions == [(0, 1, 2, 3)]
+    engine.dom[:4] = domains
+    engine.dirty = {0}
+    return engine
+
+
+def test_hidden_single_is_set(board2):
+    # Value 1 has one home in R1, so that cell takes it.
+    engine = row_one_engine(board2, [0b0011, 0b1110, 0b1110, 0b1110])
+    assert engine.propagate()
+    assert engine.dom[:4] == [0b0001, 0b1110, 0b1110, 0b1110]
+
+
+def test_only_home_of_two_values_fails(board2):
+    # Values 1 and 2 both have their one home in R1 at cell 0: no value
+    # can take it, so propagation fails.
+    engine = row_one_engine(board2, [0b0011, 0b1100, 0b1100, 0b1100])
+    assert engine.propagate() is False
+
+
+@pytest.mark.parametrize("text, nodes", [
+    ("B1,B2,B4,B5", 57), ("R1,C1,B2,B4,B5", 1_136),
+    ("B1,B2,B4,B6,B8,B9", 564), ("R1,R4,B1,B5,B7,B8", 497)])
+def test_witness_search_trees_are_pinned(board, text, nodes):
+    # The classify -n 6 catalog entries that no grid edit fits: their
+    # witness races spend exactly these nodes, so a change to propagation
+    # that weakens or strengthens its fixpoint changes a total.
+    cset = parse_missing(board, text)
+    assert modification_witness(cset) is None
+    outcome, _ = solve_equal(
+        (pin_equal(cset, pair) for pair in witness_pairs(cset)),
+        WITNESS_BUDGET)
+    assert outcome.status == SOLUTION
+    assert outcome.stats.nodes == nodes
 
 
 def test_witness_pairs_order(board):

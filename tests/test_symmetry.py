@@ -253,6 +253,38 @@ def test_stabilizer_generators_act_on_regions(board):
                 assert image == set(region_cells(g.labels[cid], board))
 
 
+def random_lines(n, rng):
+    """A random line permutation that keeps each band (or stack) whole."""
+    chutes = rng.sample(range(n), n)
+    return tuple(chute * n + line for chute in chutes
+                 for line in rng.sample(range(n), n))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_cells_and_labels_match_their_definitions(order):
+    # cells and labels are computed from the line permutations; check them
+    # against the definitions: cell (r, c), read as (c, r) when transposed,
+    # goes to rows[r] * side + cols[c], and a region goes to the one region
+    # that holds the images of its first and last cells.
+    board = Board(order)
+    side, regions = board.side, board.cell_region_ids
+    rng = random.Random(19)
+    for i in range(40):
+        g = Symmetry(board, bool(i % 2), random_lines(order, rng),
+                     random_lines(order, rng))
+        cells = []
+        for cell in range(board.num_cells):
+            r, c = divmod(cell, side)
+            if g.transpose:
+                r, c = c, r
+            cells.append(g.rows[r] * side + g.cols[c])
+        assert g.cells == tuple(cells)
+        assert g.labels == tuple(
+            (set(regions[cells[members[0]]])
+             & set(regions[cells[members[-1]]])).pop()
+            for members in board.region_cells_all)
+
+
 def test_symmetry_rejects_lines_leaving_their_band(board2):
     ident = tuple(range(4))
     with pytest.raises(ValueError):
