@@ -107,13 +107,16 @@ def _level(n: int, k: int):
 
     Returns (records, catalog): one ClassRecord per class, and the catalog
     through level k.  Each class is found by dropping one present
-    constraint from a level k - 1 class and canonicalizing.  The records
-    come in canonical key order, which is the order of first appearance
-    among lexicographic missing-id combinations, because the key packs R1
-    most significant.  orbit_size counts each class's images as its
-    distinct coarse-image keys times its line arrangements, without the
-    enumeration, so the sizes summing to C(num_big, k) still checks that
-    no class is missed or doubled.
+    constraint from a level k - 1 class and canonicalizing.  A class mask
+    lists each band's and stack's absent lines first, and a line swap fixing
+    it exchanges any two present lines there, so only each segment's first
+    present line and each present box are dropped; each distinct child is
+    keyed once.  The records come in canonical key order, which is the
+    order of first appearance among lexicographic missing-id combinations,
+    because the key packs R1 most significant.  orbit_size counts each
+    class's images from its coarse stabilizer and line arrangements, so the
+    sizes summing to C(num_big, k) still checks that no class is missed or
+    doubled.
 
     Then each class is closed under the derivation rules, in mask order.
     A class reaching the full set is Sudoku-equivalent.  A stuck class
@@ -134,14 +137,17 @@ def _level(n: int, k: int):
         masks, catalog = [board.full_mask], ()
     else:
         prev, catalog = _level(n, k - 1)
-        keys = set()
+        children = set()
         for record in prev:
             mask = present = record.cset.mask
             while present:
                 bit = present & -present
-                keys.add(_canonical_key(n, mask ^ bit))
+                i = bit.bit_length() - 1
+                if i >= 2 * board.side or i % n == 0 or not mask >> i - 1 & 1:
+                    children.add(mask ^ bit)
                 present ^= bit
-        masks = [_key_to_mask(key, board.num_big) for key in sorted(keys)]
+        keys = sorted({_canonical_key(n, child) for child in children})
+        masks = [_key_to_mask(key, board.num_big) for key in keys]
     orbits = {mask: orbit_size(ConstraintSet(board, mask)) for mask in masks}
     if sum(orbits.values()) != math.comb(board.num_big, k):
         raise RuntimeError(
@@ -176,11 +182,6 @@ def enumerate_classes(board: Board, n_missing: int) -> tuple[ConstraintSet, ...]
     n_missing absent big constraints, in order of first appearance under
     lexicographic iteration of missing-id combinations."""
     return tuple(r.cset for r in _level(board.n, n_missing)[0])
-
-
-def class_orbit_sizes(board: Board, n_missing: int) -> tuple[int, ...]:
-    """Raw set count per class, aligned with enumerate_classes order."""
-    return tuple(r.orbit_size for r in _level(board.n, n_missing)[0])
 
 
 def raw_count(board: Board, n_missing: int) -> int:

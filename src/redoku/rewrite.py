@@ -57,16 +57,6 @@ def _step_for_chute(mask: int, ch: Chute, lmask: int, bmask: int) -> Optional[St
     return None
 
 
-def applicable_steps(cset: ConstraintSet) -> tuple[Step, ...]:
-    """Steps that fire on the model right now, in chute order H1..Vn."""
-    steps = []
-    for ch, lmask, bmask in _chute_tables(cset.board.n):
-        step = _step_for_chute(cset.mask, ch, lmask, bmask)
-        if step is not None:
-            steps.append(step)
-    return tuple(steps)
-
-
 def closure(cset: ConstraintSet) -> tuple[ConstraintSet, tuple[Step, ...]]:
     """Fixpoint under both lemmas plus the trace of applied steps.
 

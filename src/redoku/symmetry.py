@@ -14,11 +14,6 @@ from operator import itemgetter
 from .board import Board, ConstraintSet, Grid
 
 
-def group_order(board: Board) -> int:
-    f = factorial(board.n)
-    return 2 * (f * f ** board.n) ** 2
-
-
 @dataclass(frozen=True)
 class Symmetry:
     """One board symmetry: an optional transpose, then a row permutation
@@ -287,16 +282,22 @@ def canonical_key(cset: ConstraintSet) -> int:
     return _canonical_key(cset.board.n, cset.mask)
 
 
-def _canonical_key(n: int, mask: int) -> int:
-    """The smallest _image_key over the coarse elements, in stages."""
+def _views(n: int, mask: int):
+    """(present lines per band, per stack, box rows) of the model and of
+    its transpose; box row a lists band a's presence bits, B1 first."""
     side, seg = n * n, (1 << n) - 1
-    counts = [(mask >> k * n & seg).bit_count() for k in range(2 * n)]
-    boxes = f"{mask >> 2 * side:0{side}b}"[::-1]  # B1 first
+    counts = tuple((mask >> k * n & seg).bit_count() for k in range(2 * n))
+    boxes = f"{mask >> 2 * side:0{side}b}"[::-1]
     by_band = [boxes[a * n:a * n + n] for a in range(n)]
     # Transposed, the image's rows come from the stacks, its columns from
     # the bands, and its box (a, b) from box (b, a).
-    views = ((counts[:n], counts[n:], by_band),
-             (counts[n:], counts[:n], ["".join(s) for s in zip(*by_band)]))
+    return ((counts[:n], counts[n:], by_band),
+            (counts[n:], counts[:n], ["".join(s) for s in zip(*by_band)]))
+
+
+def _canonical_key(n: int, mask: int) -> int:
+    """The smallest _image_key over the coarse elements, in stages."""
+    views = _views(n, mask)
     heads = [(tuple(sorted(rows)), tuple(sorted(cols)))
              for rows, cols, _ in views]
     row_head, col_head = min(heads)
@@ -309,7 +310,7 @@ def _canonical_key(n: int, mask: int) -> int:
                if head == (row_head, col_head)
                for pick in picks if pick(cols) == col_head)
     image = int("".join("".join(line) for _, line in best)[::-1], 2)
-    image <<= 2 * side
+    image <<= 2 * n * n
     for k, present in enumerate(row_head + col_head):
         image |= ((1 << present) - 1) << k * n
     return _image_key(n, image)
@@ -321,12 +322,6 @@ def _key_to_mask(key: int, num_big: int) -> int:
         if key >> (num_big - 1 - i) & 1:
             mask |= 1 << i
     return mask
-
-
-def canonicalize(cset: ConstraintSet) -> ConstraintSet:
-    """Class representative: the group image with the smallest presence vector."""
-    return ConstraintSet(
-        cset.board, _key_to_mask(canonical_key(cset), cset.board.num_big))
 
 
 @lru_cache(maxsize=None)
@@ -363,13 +358,24 @@ def orbit_size(cset: ConstraintSet) -> int:
     many line arrangements as the model: the product over the segments of
     C(n, absent lines).  Two coarse images share all their arrangements
     when their image keys agree and none otherwise, so the orbit holds that
-    product times the number of distinct keys.  Those are counted on the
-    arrangement with each segment's absent lines first: coarse elements
-    keep the order of lines inside segments, so its coarse images keep
-    that form and are equal exactly when their keys are."""
+    product times the number of distinct keys.  Coarse elements map the
+    arrangement with each segment's absent lines first onto such
+    arrangements, one per key, so the keys number 2 * (n!)^2 over the coarse
+    elements that fix its segment counts and box rows.  Those are counted in
+    stages: for each view, the band orders sigma and stack orders tau that
+    carry its counts onto the model's, then the pairs that carry its boxes."""
     n, mask = cset.board.n, cset.mask
     seg = (1 << n) - 1
     arrangements = prod(comb(n, (mask >> shift & seg).bit_count())
                         for shift in range(0, 2 * n * n, n))
-    first = _key_to_mask(_image_key(n, mask), cset.board.num_big)
-    return arrangements * len({g.apply_mask(first) for g in _coarse(n)})
+    views = _views(n, mask)
+    rows, cols, box_rows = views[0]
+    perms = [(perm, itemgetter(*perm)) for perm in permutations(range(n))]
+    fixing = 0
+    for view_rows, view_cols, view_boxes in views:
+        sigmas = [sigma for sigma, pick in perms if pick(rows) == view_rows]
+        taus = [pick for _, pick in perms if pick(cols) == view_cols]
+        fixing += sum(all(tau(box_rows[a]) == tuple(line)
+                          for a, line in zip(sigma, view_boxes))
+                      for sigma in sigmas for tau in taus)
+    return arrangements * 2 * factorial(n) ** 2 // fixing

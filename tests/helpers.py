@@ -1,13 +1,43 @@
 """Shared test utilities: brute-force references for the solver, for
-class enumeration and for catalog coverage."""
+class enumeration and for catalog coverage, and small readers of the
+program's results that only tests use."""
 
 from itertools import combinations, product
+from math import factorial
 
-from redoku.board import Board, verify_grid, Grid
-from redoku.pipeline import (NOT_SUDOKU, SUDOKU, enumerate_classes,
+from redoku.board import Board, ConstraintSet, verify_grid, Grid
+from redoku.pipeline import (NOT_SUDOKU, SUDOKU, _level, enumerate_classes,
                              minimal_catalog)
+from redoku.rewrite import _chute_tables, _step_for_chute
 from redoku.solver import SolverProblem
-from redoku.symmetry import _canonical_key, _key_to_mask, group_images
+from redoku.symmetry import (_canonical_key, _key_to_mask, canonical_key,
+                             group_images)
+
+
+def group_order(board: Board) -> int:
+    f = factorial(board.n)
+    return 2 * (f * f ** board.n) ** 2
+
+
+def canonicalize(cset: ConstraintSet) -> ConstraintSet:
+    """Class representative: the group image with the smallest presence vector."""
+    return ConstraintSet(
+        cset.board, _key_to_mask(canonical_key(cset), cset.board.num_big))
+
+
+def applicable_steps(cset: ConstraintSet):
+    """Lemma steps that fire on the model right now, in chute order H1..Vn."""
+    steps = []
+    for ch, lmask, bmask in _chute_tables(cset.board.n):
+        step = _step_for_chute(cset.mask, ch, lmask, bmask)
+        if step is not None:
+            steps.append(step)
+    return tuple(steps)
+
+
+def class_orbit_sizes(board: Board, n_missing: int) -> tuple[int, ...]:
+    """Raw set count per class, aligned with enumerate_classes order."""
+    return tuple(r.orbit_size for r in _level(board.n, n_missing)[0])
 
 
 def brute_force_satisfiable(problem: SolverProblem) -> bool:

@@ -10,12 +10,12 @@ import time
 
 import pytest
 
-from helpers import brute_force_satisfiable
+from helpers import applicable_steps, brute_force_satisfiable
 from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           pattern_solution, verify_grid)
 from redoku.pipeline import (NOT_SUDOKU, enumerate_classes, minimal_catalog,
                              run_classification)
-from redoku.rewrite import applicable_steps, closure
+from redoku.rewrite import closure
 from redoku.smalls import (CONFIRMED_NEEDED, expand_small, probe_minimality,
                            sample_probes)
 from redoku.solver import SolverProblem, solve

@@ -5,12 +5,12 @@ import pytest
 
 import redoku.pipeline
 from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
-from redoku.pipeline import (NOT_SUDOKU, SUDOKU, class_orbit_sizes,
-                             enumerate_classes, minimal_catalog, raw_count,
-                             run_classification)
-from redoku.symmetry import canonical_key, canonicalize
+from redoku.pipeline import (NOT_SUDOKU, SUDOKU, enumerate_classes,
+                             minimal_catalog, raw_count, run_classification)
+from redoku.symmetry import _canonical_key, canonical_key
 
-from helpers import brute_force_classes, derive_from_catalog
+from helpers import (brute_force_classes, canonicalize, class_orbit_sizes,
+                     derive_from_catalog)
 
 
 def test_enumeration_counts(board):
@@ -43,6 +43,19 @@ def test_sweep_matches_brute_force_enumeration(order, top):
         masks, counts = brute_force_classes(board, k)
         assert [c.mask for c in enumerate_classes(board, k)] == masks
         assert list(class_orbit_sizes(board, k)) == counts
+
+
+@pytest.mark.parametrize("order, top", [(2, 12), (3, 6)])
+def test_sweep_keys_every_single_drop(order, top):
+    # Keying every single-constraint drop of every class one level down
+    # must give exactly the classes the sweep finds from fewer drops.
+    board = Board(order)
+    for k in range(1, top + 1):
+        keys = {_canonical_key(order, cset.mask ^ 1 << cid)
+                for cset in enumerate_classes(board, k - 1)
+                for cid in cset.present_ids}
+        assert sorted(keys) == [canonical_key(cset)
+                                for cset in enumerate_classes(board, k)]
 
 
 def test_enumeration_reps_are_distinct_classes(board):

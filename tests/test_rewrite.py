@@ -2,9 +2,10 @@ import random
 
 from redoku.board import ConstraintSet, parse_missing
 from redoku.pipeline import minimal_catalog
-from redoku.rewrite import (LEMMA_I, LEMMA_II, applicable_steps, close_mask,
-                            closure)
+from redoku.rewrite import LEMMA_I, LEMMA_II, close_mask, closure
 from redoku.symmetry import group_images
+
+from helpers import applicable_steps
 
 
 def random_order_fixpoint(cset, rng):

@@ -4,18 +4,18 @@ import pytest
 
 from collections import Counter
 from itertools import permutations
+from math import comb, prod
 
 from redoku.board import (Board, ConstraintSet, parse_missing,
                           pattern_solution, region_cells, verify_grid)
 from redoku.pipeline import enumerate_classes
 from redoku.smalls import expand_small, sample_probes
 from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
-                             canonical_key, canonicalize, carrier,
+                             _key_to_mask, canonical_key, carrier,
                              carry_from_root, generators, group_images,
-                             group_order, orbit_size, pair_orbits,
-                             stabilizer_generators)
+                             orbit_size, pair_orbits, stabilizer_generators)
 
-from helpers import covers
+from helpers import canonicalize, covers, group_order
 
 
 def bfs_walk(cset):
@@ -146,6 +146,36 @@ def test_counted_orbit_sizes_match_images(order, top):
             size = len(group_images(cset))
             assert orbit_size(cset) == size
             assert orbit_size(random_element(board, rng).apply(cset)) == size
+
+
+def coarse_image_orbit_size(cset):
+    """The orbit size as distinct coarse images of the arrangement with
+    each segment's absent lines first, times the line arrangements."""
+    n, mask = cset.board.n, cset.mask
+    seg = (1 << n) - 1
+    arrangements = prod(comb(n, (mask >> shift & seg).bit_count())
+                        for shift in range(0, 2 * n * n, n))
+    first = _key_to_mask(_image_key(n, mask), cset.board.num_big)
+    return arrangements * len({g.apply_mask(first) for g in _coarse(n)})
+
+
+def test_stabilizer_orbit_sizes_match_coarse_images():
+    # Random order-4 models, and order-3 models with large stabilizers:
+    # transpose-symmetric ones, and ones whose bands' counts tie.
+    board4, board3 = Board(4), Board(3)
+    rng = random.Random(47)
+    csets = []
+    for _ in range(200):
+        missing = rng.sample(range(board4.num_big), rng.randint(1, 10))
+        csets.append(ConstraintSet.from_missing(board4, missing))
+    csets += [ConstraintSet.full(board3), ConstraintSet.full(board4)]
+    csets += [parse_missing(board3, text) for text in (
+        "R1,C1", "R1,R4,R7,C1,C4,C7", "R2,R5,R8,C2,C5,C8", "B1,B5,B9",
+        "B1,B2,B4,B5", "R1,R4,R7", "R1,C1,B1,B5,B9")]
+    for cset in csets:
+        assert orbit_size(cset) == coarse_image_orbit_size(cset)
+        if cset.board.n == 3:
+            assert orbit_size(cset) == len(group_images(cset))
 
 
 def test_single_box_orbits_agree(board):
