@@ -288,20 +288,6 @@ class Grid:
         return "\n".join(rows)
 
 
-def pattern_solution(board: Board, shift: int = 0) -> Grid:
-    """A complete valid grid built by the cyclic offset pattern.
-
-    value(r, c) = ((r-1)*n + (r-1)//n + (c-1) + shift) mod n^2 + 1 places
-    each value once per row, column, and box for any order.
-    """
-    n, side = board.n, board.side
-    vals = []
-    for r in range(side):
-        for c in range(side):
-            vals.append((r * n + r // n + c + shift) % side + 1)
-    return Grid(board, tuple(vals))
-
-
 def verify_grid(grid: Grid, cset: ConstraintSet) -> frozenset[int]:
     """Ids of the constraints in `cset` whose region holds a duplicate.
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 
-from .board import (Board, ConstraintSet, Grid, pattern_solution,
-                    region_cells, verify_grid)
+from .board import Board, ConstraintSet, Grid, region_cells, verify_grid
 from .rewrite import close_mask
 
 SOLUTION = "solution"
@@ -327,56 +326,55 @@ def witness_pairs(cset: ConstraintSet):
             yield a, b
 
 
-def modification_witness(cset: ConstraintSet) -> Grid | None:
-    """Constant-time witness search by local edits of pattern_solution.
+# Grids tried by modification_witness, each built once per order: a cap,
+# not a proof that swaps always suffice, so find_witness keeps its race.
+SWAP_GRIDS = 128
 
-    Two edit families, each violating a known set of constraints:
-    overwriting one cell (its three regions) and swapping two cells (their
-    unshared regions).  The first edit whose violation set lies inside the
-    model's absent constraints yields a witness with no search at all.
+
+@lru_cache(maxsize=None)
+def _swap_grid(n: int, index: int) -> Grid:
+    # The full model's grid under the value order of restart_ladder's rung
+    # index + 1: ascending first, then seed 0, 1, ...
+    return solve(SolverProblem(ConstraintSet.full(Board(n))),
+                 value_order_seed=index - 1 if index else None).grid
+
+
+def modification_witness(cset: ConstraintSet) -> Grid | None:
+    """Witness by a value swap on a valid grid, with no search.
+
+    For each of the first SWAP_GRIDS grids of _swap_grid and each value pair
+    a < b, the a-cell and the b-cell of every present region are joined into
+    chains.  Exchanging a and b on a chain keeps every present region
+    all-different (a Kempe chain interchange, Kempe 1879); an absent region
+    whose a-cell and b-cell lie on two chains breaks when its a-cell's chain
+    is swapped.  Returns the first such grid, in grid, value pair and
+    absent id order, or None.
     """
     board = cset.board
     if cset.is_full():
         raise ValueError("witness search needs a model with absent constraints")
-    grid = pattern_solution(board)
-    cell_regions = board.cell_region_ids
-    present = cset.mask
-
-    for cell in range(board.num_cells):
-        violated = 0
-        for cid in cell_regions[cell]:
-            violated |= 1 << cid
-        if violated & present:
-            continue
-        values = list(grid.values)
-        values[cell] = values[cell] % board.side + 1
-        return _checked_witness(Grid(board, tuple(values)), cset)
-
-    for a in range(board.num_cells):
-        regs_a = cell_regions[a]
-        for b in range(a + 1, board.num_cells):
-            if grid.values[a] == grid.values[b]:
-                continue
-            regs_b = cell_regions[b]
-            shared = set(regs_a) & set(regs_b)
-            violated = 0
-            for cid in regs_a:
-                if cid not in shared:
-                    violated |= 1 << cid
-            for cid in regs_b:
-                if cid not in shared:
-                    violated |= 1 << cid
-            if violated & present:
-                continue
-            values = list(grid.values)
-            values[a], values[b] = values[b], values[a]
-            return _checked_witness(Grid(board, tuple(values)), cset)
-
+    for index in range(SWAP_GRIDS):
+        values = list(_swap_grid(board.n, index).values)
+        home = [{values[cell]: cell for cell in cells}
+                for cells in board.region_cells_all]
+        for a, b in combinations(range(1, board.side + 1), 2):
+            chain = {c: [c] for c, v in enumerate(values) if v in (a, b)}
+            for cid in cset.present_ids:
+                kept, joined = chain[home[cid][a]], chain[home[cid][b]]
+                if kept is not joined:
+                    kept.extend(joined)
+                    chain.update((cell, kept) for cell in joined)
+            for cid in cset.missing_ids:
+                swapped = chain[home[cid][a]]
+                if swapped is not chain[home[cid][b]]:
+                    for cell in swapped:
+                        values[cell] = a + b - values[cell]
+                    return _checked_witness(Grid(board, tuple(values)), cset)
     return None
 
 
 def _checked_witness(grid: Grid, cset: ConstraintSet) -> Grid:
-    # Every witness, edited or searched, is re-verified from scratch.
+    # Every witness, swapped or searched, is re-verified from scratch.
     if verify_grid(grid, cset):
         raise RuntimeError("witness violates a present constraint")
     if not verify_grid(grid, ConstraintSet.full(cset.board)):
@@ -474,21 +472,20 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     The pipeline calls it only for catalog entries; classes take an entry's
     witness moved by a symmetry.  Models whose derivation closure reaches
     the full set are entailed, so no witness can exist; they short-circuit
-    to None without any search.  Otherwise constant-time edits of the
-    pattern grid are tried first (modification_witness), then one
-    solve_equal race of the equality searches on the uncovered in-region
-    cell pairs (witness_pairs), each up to WITNESS_BUDGET nodes.  Returns
-    None when every search is exhausted or over budget; that outcome
-    carries no proof either way.
+    to None without any search.  Otherwise a value swap on one of a fixed
+    sequence of valid grids is tried first (modification_witness); only a
+    model that no grid splits falls back to one solve_equal race of the
+    equality searches on the uncovered in-region cell pairs (witness_pairs),
+    each up to WITNESS_BUDGET nodes.  Returns None when every search is
+    exhausted or over budget; that outcome carries no proof either way.
     """
     board = cset.board
     if cset.is_full():
         raise ValueError("find_witness needs a model with absent constraints")
     if close_mask(board.n, cset.mask) == board.full_mask:
         return None
-    edited = modification_witness(cset)
-    if edited is not None:
-        return edited
+    if (swapped := modification_witness(cset)) is not None:
+        return swapped
     outcome, _ = solve_equal(
         (pin_equal(cset, pair) for pair in witness_pairs(cset)), WITNESS_BUDGET)
     return _checked_witness(outcome.grid, cset) if outcome.is_solution else None

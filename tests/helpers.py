@@ -14,6 +14,26 @@ from redoku.symmetry import (_canonical_key, _key_to_mask, canonical_key,
                              group_images)
 
 
+def pattern_solution(board: Board, shift: int = 0) -> Grid:
+    """A complete valid grid built by the cyclic offset pattern.
+
+    value(r, c) = ((r-1)*n + (r-1)//n + (c-1) + shift) mod n^2 + 1 places
+    each value once per row, column, and box for any order.
+    """
+    n, side = board.n, board.side
+    vals = []
+    for r in range(side):
+        for c in range(side):
+            vals.append((r * n + r // n + c + shift) % side + 1)
+    return Grid(board, tuple(vals))
+
+
+def no_race(problems, budget):
+    """A solve_equal stand-in for tests in which find_witness must not
+    fall back on its race."""
+    raise AssertionError("find_witness raced the pairs")
+
+
 def group_order(board: Board) -> int:
     f = factorial(board.n)
     return 2 * (f * f ** board.n) ** 2

@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from helpers import applicable_steps, brute_force_satisfiable
-from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
-                          pattern_solution, verify_grid)
+from helpers import (applicable_steps, brute_force_satisfiable,
+                     pattern_solution)
+from redoku.board import Board, ConstraintSet, Grid, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, enumerate_classes, minimal_catalog,
                              run_classification)
 from redoku.rewrite import closure

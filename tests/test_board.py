@@ -1,8 +1,9 @@
 import pytest
 
+from helpers import pattern_solution
 from redoku.board import (BOX, COL, ROW, Board, ConstraintSet, Grid, chutes,
-                          chute_members, parse_missing, pattern_solution,
-                          region_cells, verify_grid)
+                          chute_members, parse_missing, region_cells,
+                          verify_grid)
 
 
 def test_board_dimensions(board):

@@ -4,13 +4,14 @@ import re
 import pytest
 
 import redoku.pipeline
+import redoku.solver
 from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
-from redoku.pipeline import (NOT_SUDOKU, SUDOKU, enumerate_classes,
+from redoku.pipeline import (NOT_SUDOKU, SUDOKU, UNRESOLVED, enumerate_classes,
                              minimal_catalog, raw_count, run_classification)
 from redoku.symmetry import _canonical_key, canonical_key
 
 from helpers import (brute_force_classes, canonicalize, class_orbit_sizes,
-                     derive_from_catalog)
+                     derive_from_catalog, no_race)
 
 
 def test_enumeration_counts(board):
@@ -34,6 +35,26 @@ def test_orbit_size_sum_check_fires(board, monkeypatch, fresh_pipeline_caches):
                         lambda cset: true_size(cset) + (cset.mask == wrong))
     with pytest.raises(RuntimeError, match=re.escape("not C(27, 3)")):
         redoku.pipeline._level(3, 3)
+
+
+@pytest.mark.parametrize("order, classes, sudoku", [
+    (2, [1, 2, 7, 14, 27, 35], [1, 2, 6, 9, 8, 0]),
+    (3, [1, 2, 7, 22, 60, 146, 320, 623], [1, 2, 6, 16, 33, 48, 39, 0]),
+    (4, [1, 2, 7, 22, 73, 210, 599, 1_565],
+     [1, 2, 6, 16, 45, 101, 195, 275])], ids=["order2", "order3", "order4"])
+def test_sweeps_witness_every_class_without_a_race(
+        order, classes, sudoku, monkeypatch, fresh_pipeline_caches):
+    # Classes and Sudoku classes per level, with every other class
+    # witnessed: value swaps witness each catalog entry, so find_witness
+    # never falls back on its equality race.
+    monkeypatch.setattr(redoku.solver, "solve_equal", no_race)
+    counts = []
+    for k in range(len(classes)):
+        records = redoku.pipeline._level(order, k)[0]
+        verdicts = [r.verdict for r in records]
+        assert UNRESOLVED not in verdicts
+        counts.append((len(records), verdicts.count(SUDOKU)))
+    assert counts == list(zip(classes, sudoku))
 
 
 @pytest.mark.parametrize("order, top", [(2, 12), (3, 4)])

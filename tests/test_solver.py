@@ -1,11 +1,11 @@
 import random
+import time
 
 import pytest
 
 import redoku.solver
-from helpers import brute_force_satisfiable
-from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
-                          pattern_solution, verify_grid)
+from helpers import brute_force_satisfiable, no_race, pattern_solution
+from redoku.board import Board, ConstraintSet, Grid, parse_missing, verify_grid
 from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
                            UNSATISFIABLE, WITNESS_BUDGET, SolverProblem,
@@ -182,11 +182,11 @@ def test_only_home_of_two_values_fails(board2):
     ("B1,B2,B4,B5", 57), ("R1,C1,B2,B4,B5", 1_136),
     ("B1,B2,B4,B6,B8,B9", 564), ("R1,R4,B1,B5,B7,B8", 497)])
 def test_witness_search_trees_are_pinned(board, text, nodes):
-    # The classify -n 6 catalog entries that no grid edit fits: their
-    # witness races spend exactly these nodes, so a change to propagation
-    # that weakens or strengthens its fixpoint changes a total.
+    # Four classify -n 6 catalog entries: a value swap witnesses them, but
+    # the race that find_witness falls back on spends exactly these nodes
+    # on them, so a change to propagation that weakens or strengthens its
+    # fixpoint changes a total.
     cset = parse_missing(board, text)
-    assert modification_witness(cset) is None
     outcome, _ = solve_equal(
         (pin_equal(cset, pair) for pair in witness_pairs(cset)),
         WITNESS_BUDGET)
@@ -215,25 +215,27 @@ def test_witness_pairs_yields_each_pair_once(board):
     assert len(pairs) == len(set(pairs)) == 78
 
 
-def test_modification_witness_families(board):
-    # single absent box: overwriting one of its cells suffices
-    cset = parse_missing(board, "R1,C1,B1")
-    grid = modification_witness(cset)
-    assert grid is not None
-    assert verify_grid(grid, cset) == frozenset()
-    assert verify_grid(grid, ConstraintSet.full(board))
+def test_modification_witness_families(board, monkeypatch):
+    # Models a one-cell overwrite (R1,C1,B1) or a two-cell swap (C1,C3)
+    # breaks, both special cases of a value swap, split on the first grid.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 1)
+    for text in ("R1,C1,B1", "C1,C3"):
+        cset = parse_missing(board, text)
+        grid = modification_witness(cset)
+        assert grid is not None
+        assert verify_grid(grid, cset) == frozenset()
+        assert verify_grid(grid, ConstraintSet.full(board))
 
-    # two absent parallel lines: a swap inside one row does it
-    cset = parse_missing(board, "C1,C3")
-    grid = modification_witness(cset)
-    assert grid is not None
-    assert verify_grid(grid, cset) == frozenset()
-
-    # Box quads and two bands of boxes: no one-cell overwrite or two-cell
-    # swap of the pattern grid violates only boxes, so the equality search
-    # of find_witness has to find these.
+    # Box quads and two bands of boxes: no one- or two-cell edit breaks
+    # only boxes, but a longer chain does, so no equality search runs.
+    monkeypatch.undo()
     for text in ("B1,B2,B4,B5", "B1,B2,B3,B4,B5,B6"):
-        assert modification_witness(parse_missing(board, text)) is None
+        cset = parse_missing(board, text)
+        grid = modification_witness(cset)
+        assert grid is not None
+        assert verify_grid(grid, cset) == frozenset()
+        violated = verify_grid(grid, ConstraintSet.full(board))
+        assert violated and violated <= set(cset.missing_ids)
 
 
 def test_find_witness_rejects_full_model(board):
@@ -255,9 +257,10 @@ def test_find_witness_for_stuck_models(board):
         assert verify_grid(grid, ConstraintSet.full(board))
 
 
-def test_find_witness_by_equality_search(board):
-    # No grid edit fits this model, so its witness must come from the
-    # equality search over witness_pairs.
+def test_find_witness_by_equality_search(board, monkeypatch):
+    # With no swap grids, the witness must come from the equality search
+    # over witness_pairs.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     cset = parse_missing(board, "R1,R4,B1,B5,B7,B8")
     assert modification_witness(cset) is None
     grid = find_witness(cset)
@@ -301,7 +304,9 @@ def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
     assert ladder == list(restart_ladder(WITNESS_BUDGET))
     calls.clear()
     # The pairs of a witness search race, so their climbs interleave:
-    # group the rungs by problem, one problem per pair.
+    # group the rungs by problem, one problem per pair.  No swap grids, so
+    # that find_witness falls back on its race.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     assert find_witness(parse_missing(board, "R1,R4,B1,B5,B7,B8")) is not None
     climbs = {}
     for problem, seed, limit, _ in calls:
@@ -314,8 +319,9 @@ def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
 def test_find_witness_has_one_budget(board, monkeypatch):
     # At a 64-node budget every pair of this model stops at its budget, and
     # none gets a second, deeper climb: the search gives up after exactly
-    # one 64-node rung per pair.
+    # one 64-node rung per pair.  No swap grids, so that the race runs.
     monkeypatch.setattr(redoku.solver, "WITNESS_BUDGET", 64)
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     calls = recording_solves(monkeypatch)
     cset = parse_missing(board, "B1,B2,B4,B6,B8,B9")
     assert find_witness(cset) is None
@@ -327,6 +333,8 @@ def test_find_witness_has_one_budget(board, monkeypatch):
 def test_find_witness_races_the_pairs(board, monkeypatch):
     # A seven-missing catalog entry whose first searched pairs stall: the
     # race finds a grid on a later pair before any pair spends its budget.
+    # No swap grids, so that the race runs.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     calls = recording_solves(monkeypatch)
     cset = parse_missing(board, "R1,C1,B2,B4,B6,B8,B9")
     assert modification_witness(cset) is None
@@ -337,6 +345,42 @@ def test_find_witness_races_the_pairs(board, monkeypatch):
     violated = verify_grid(grid, ConstraintSet.full(board))
     assert violated
     assert violated <= set(cset.missing_ids)
+
+
+def test_find_witness_falls_back_on_the_race(board, monkeypatch):
+    # The first swap grid does not split this catalog entry, so with one
+    # grid the swap finds nothing and find_witness races the pairs.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 1)
+    cset = parse_missing(board, "R1,R4,B1,B5,B7,B8")
+    assert modification_witness(cset) is None
+    races = []
+    real = redoku.solver.solve_equal
+    def solve_equal(problems, budget):
+        races.append(budget)
+        return real(problems, budget)
+    monkeypatch.setattr(redoku.solver, "solve_equal", solve_equal)
+    grid = find_witness(cset)
+    assert races == [WITNESS_BUDGET]
+    assert grid is not None
+    assert verify_grid(grid, cset) == frozenset()
+    violated = verify_grid(grid, ConstraintSet.full(board))
+    assert violated and violated <= set(cset.missing_ids)
+
+
+@pytest.mark.parametrize("text", ["B1,B2,B5,B6", "R1,C1,B2,B5,B6"])
+def test_order_four_witnesses_need_no_search(text, monkeypatch):
+    # Order-4 catalog entries whose races take 2.37 M and 1.23 M nodes
+    # (minutes): a value swap on the first grid witnesses each.
+    monkeypatch.setattr(redoku.solver, "solve_equal", no_race)
+    board4 = Board(4)
+    cset = parse_missing(board4, text)
+    start = time.monotonic()
+    grid = find_witness(cset)
+    assert time.monotonic() - start < 1.0
+    assert grid is not None
+    assert verify_grid(grid, cset) == frozenset()
+    violated = verify_grid(grid, ConstraintSet.full(board4))
+    assert violated and violated <= set(cset.missing_ids)
 
 
 def test_luby_terms():

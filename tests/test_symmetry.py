@@ -6,8 +6,8 @@ from collections import Counter
 from itertools import permutations
 from math import comb, prod
 
-from redoku.board import (Board, ConstraintSet, parse_missing,
-                          pattern_solution, region_cells, verify_grid)
+from redoku.board import (Board, ConstraintSet, parse_missing, region_cells,
+                          verify_grid)
 from redoku.pipeline import enumerate_classes
 from redoku.smalls import expand_small, sample_probes
 from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
@@ -15,7 +15,7 @@ from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
                              carry_from_root, generators, group_images,
                              orbit_size, pair_orbits, stabilizer_generators)
 
-from helpers import canonicalize, covers, group_order
+from helpers import canonicalize, covers, group_order, pattern_solution
 
 
 def bfs_walk(cset):
