@@ -123,9 +123,9 @@ def _level(n: int, k: int):
     matches the first catalog entry with a carrier g into its fixpoint,
     absent(g(entry)) within the fixpoint's; its counterexample grid is the
     entry's witness moved by g, verified against the class and the full
-    model.  A closed stuck class no entry carries into is searched with
-    find_witness and becomes a new entry; one whose search fails within
-    budget is left out, so its classes are unresolved, with no witness.
+    model.  A closed stuck class no entry carries into gets a value-swap
+    witness from find_witness and becomes a new entry; one that no swap
+    grid splits is left out, so its classes are unresolved, with no witness.
     An entry with k absences carries only into fixpoints with at least k,
     so the growing catalog gives each class the match the finished one
     would.

@@ -306,28 +306,8 @@ def solve(problem: SolverProblem, budget: int = DEFAULT_NODE_BUDGET,
     return SolverOutcome(SOLUTION, grid, stats)
 
 
-def witness_pairs(cset: ConstraintSet):
-    """Probe pairs for find_witness, in deterministic order.
-
-    Every cell pair inside an absent constraint's region that no present
-    constraint covers, as a flat (a, b) with a < b, once: absent
-    constraints by ascending id, each region's pairs in ascending order,
-    a pair in two absent regions where it first occurs.
-    """
-    board = cset.board
-    cell_regions = board.cell_region_ids
-    pairs = (pair for cid in cset.missing_ids
-             for pair in combinations(region_cells(cid, board), 2))
-    for a, b in dict.fromkeys(pairs):
-        covered = any(
-            r in cell_regions[b] and cset.contains(r)
-            for r in cell_regions[a])
-        if not covered:
-            yield a, b
-
-
 # Grids tried by modification_witness, each built once per order: a cap,
-# not a proof that swaps always suffice, so find_witness keeps its race.
+# not a proof that swaps always suffice.
 SWAP_GRIDS = 128
 
 
@@ -374,7 +354,7 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
 
 
 def _checked_witness(grid: Grid, cset: ConstraintSet) -> Grid:
-    # Every witness, swapped or searched, is re-verified from scratch.
+    # Every witness, swapped or moved, is re-verified from scratch.
     if verify_grid(grid, cset):
         raise RuntimeError("witness violates a present constraint")
     if not verify_grid(grid, ConstraintSet.full(cset.board)):
@@ -459,11 +439,6 @@ def solve_equal(problems, budget: int):
     return SolverOutcome(status, None, SolveStats(nodes, propagations)), None
 
 
-# Node budget of witness search: each uncovered pair climbs the restart
-# ladder up to this many nodes, all pairs racing in one solve_equal call.
-WITNESS_BUDGET = 16_000
-
-
 def find_witness(cset: ConstraintSet) -> Grid | None:
     """Look for a complete grid proving the model is not equivalent to the
     full model: it satisfies every present constraint and violates at least
@@ -472,23 +447,17 @@ def find_witness(cset: ConstraintSet) -> Grid | None:
     The pipeline calls it only for catalog entries; classes take an entry's
     witness moved by a symmetry.  Models whose derivation closure reaches
     the full set are entailed, so no witness can exist; they short-circuit
-    to None without any search.  Otherwise a value swap on one of a fixed
-    sequence of valid grids is tried first (modification_witness); only a
-    model that no grid splits falls back to one solve_equal race of the
-    equality searches on the uncovered in-region cell pairs (witness_pairs),
-    each up to WITNESS_BUDGET nodes.  Returns None when every search is
-    exhausted or over budget; that outcome carries no proof either way.
+    to None.  Otherwise the witness is a value swap on one of a fixed
+    sequence of valid grids (modification_witness), with no search.
+    Returns None when no grid splits the model; that outcome carries no
+    proof either way.
     """
     board = cset.board
     if cset.is_full():
         raise ValueError("find_witness needs a model with absent constraints")
     if close_mask(board.n, cset.mask) == board.full_mask:
         return None
-    if (swapped := modification_witness(cset)) is not None:
-        return swapped
-    outcome, _ = solve_equal(
-        (pin_equal(cset, pair) for pair in witness_pairs(cset)), WITNESS_BUDGET)
-    return _checked_witness(outcome.grid, cset) if outcome.is_solution else None
+    return modification_witness(cset)
 
 
 def parse_puzzle_line(board: Board, line: str) -> Grid:

@@ -28,12 +28,6 @@ def pattern_solution(board: Board, shift: int = 0) -> Grid:
     return Grid(board, tuple(vals))
 
 
-def no_race(problems, budget):
-    """A solve_equal stand-in for tests in which find_witness must not
-    fall back on its race."""
-    raise AssertionError("find_witness raced the pairs")
-
-
 def group_order(board: Board) -> int:
     f = factorial(board.n)
     return 2 * (f * f ** board.n) ** 2

@@ -3,8 +3,11 @@ import json
 import pytest
 
 import redoku.pipeline
+import redoku.solver
+from redoku.board import Board, parse_missing
 from redoku.cli import (CORPUS_ENV, EXIT_IO, EXIT_OK, EXIT_UNRESOLVED,
                         EXIT_USAGE, main)
+from redoku.solver import find_witness
 
 
 def run_cli(argv, capsys):
@@ -308,6 +311,32 @@ def test_missed_catalog_witness_leaves_classes_unresolved(
     assert err.splitlines() == (
         [f"unresolved classes ({len(unresolved)}):"]
         + [f"  missing {r['missing']}" for r in unresolved])
+
+
+def test_model_no_swap_grid_splits_is_unresolved(
+        fresh_pipeline_caches, monkeypatch, tmp_path, capsys):
+    # The first swap grid does not split this catalog entry.  With only
+    # that grid, find_witness finds nothing and searches nothing, so the
+    # entry's classes are unresolved and classify exits 2.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 1)
+    races, real = [], redoku.solver.solve_equal
+    def solve_equal(problems, budget):
+        races.append(budget)
+        return real(problems, budget)
+    monkeypatch.setattr(redoku.solver, "solve_equal", solve_equal)
+    entry = "R1,R4,B1,B5,B7,B8"
+    assert find_witness(parse_missing(Board(3), entry)) is None
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(["classify", "-n", "6", "--json", str(out_path)],
+                         capsys)
+    assert races == []
+    assert code == EXIT_UNRESOLVED
+    report = json.loads(out_path.read_text())
+    unresolved = [r for r in report["classes"] if r["verdict"] == "unresolved"]
+    assert entry in [r["missing"] for r in unresolved]
+    assert report["unresolved_count"] == len(unresolved)
+    assert all(r["witness"] is None and r["catalog_match"] is None
+               for r in unresolved)
 
 
 def test_figure_ascii_to_stdout(capsys):

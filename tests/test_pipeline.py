@@ -4,14 +4,13 @@ import re
 import pytest
 
 import redoku.pipeline
-import redoku.solver
 from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, SUDOKU, UNRESOLVED, enumerate_classes,
                              minimal_catalog, raw_count, run_classification)
 from redoku.symmetry import _canonical_key, canonical_key
 
 from helpers import (brute_force_classes, canonicalize, class_orbit_sizes,
-                     derive_from_catalog, no_race)
+                     derive_from_catalog)
 
 
 def test_enumeration_counts(board):
@@ -42,12 +41,10 @@ def test_orbit_size_sum_check_fires(board, monkeypatch, fresh_pipeline_caches):
     (3, [1, 2, 7, 22, 60, 146, 320, 623], [1, 2, 6, 16, 33, 48, 39, 0]),
     (4, [1, 2, 7, 22, 73, 210, 599, 1_565],
      [1, 2, 6, 16, 45, 101, 195, 275])], ids=["order2", "order3", "order4"])
-def test_sweeps_witness_every_class_without_a_race(
-        order, classes, sudoku, monkeypatch, fresh_pipeline_caches):
+def test_sweeps_witness_every_class_without_a_race(order, classes, sudoku):
     # Classes and Sudoku classes per level, with every other class
-    # witnessed: value swaps witness each catalog entry, so find_witness
-    # never falls back on its equality race.
-    monkeypatch.setattr(redoku.solver, "solve_equal", no_race)
+    # witnessed: value swaps witness each catalog entry, and a class no
+    # swap grid splits would be unresolved.
     counts = []
     for k in range(len(classes)):
         records = redoku.pipeline._level(order, k)[0]

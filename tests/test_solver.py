@@ -1,17 +1,19 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
 import redoku.solver
-from helpers import brute_force_satisfiable, no_race, pattern_solution
-from redoku.board import Board, ConstraintSet, Grid, parse_missing, verify_grid
+from helpers import brute_force_satisfiable, pattern_solution
+from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
+                          region_cells, verify_grid)
 from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
-                           UNSATISFIABLE, WITNESS_BUDGET, SolverProblem,
-                           _Engine, find_witness, luby, modification_witness,
-                           parse_puzzle_line, pin_equal, read_corpus,
-                           restart_ladder, solve, solve_equal, witness_pairs)
+                           UNSATISFIABLE, SolverProblem, _Engine, find_witness,
+                           luby, modification_witness, parse_puzzle_line,
+                           pin_equal, read_corpus, restart_ladder, solve,
+                           solve_equal)
 
 
 def test_full_board_solves(board):
@@ -182,37 +184,22 @@ def test_only_home_of_two_values_fails(board2):
     ("B1,B2,B4,B5", 57), ("R1,C1,B2,B4,B5", 1_136),
     ("B1,B2,B4,B6,B8,B9", 564), ("R1,R4,B1,B5,B7,B8", 497)])
 def test_witness_search_trees_are_pinned(board, text, nodes):
-    # Four classify -n 6 catalog entries: a value swap witnesses them, but
-    # the race that find_witness falls back on spends exactly these nodes
-    # on them, so a change to propagation that weakens or strengthens its
-    # fixpoint changes a total.
+    # Four classify -n 6 catalog entries, each raced over its in-region cell
+    # pairs that no present constraint covers: absent constraints by id,
+    # each region's pairs ascending, a pair in two absent regions once.  A
+    # change to propagation that weakens or strengthens its fixpoint
+    # changes a total.
     cset = parse_missing(board, text)
+    regions = board.cell_region_ids
+    pairs = dict.fromkeys(
+        pair for cid in cset.missing_ids
+        for pair in combinations(region_cells(cid, board), 2))
+    uncovered = [(a, b) for a, b in pairs if not any(
+        map(cset.contains, set(regions[a]) & set(regions[b])))]
     outcome, _ = solve_equal(
-        (pin_equal(cset, pair) for pair in witness_pairs(cset)),
-        WITNESS_BUDGET)
+        (pin_equal(cset, pair) for pair in uncovered), 16_000)
     assert outcome.status == SOLUTION
     assert outcome.stats.nodes == nodes
-
-
-def test_witness_pairs_order(board):
-    cset = parse_missing(board, "C1,C3")
-    pairs = list(witness_pairs(cset))
-    assert pairs
-    a, b = pairs[0]
-    assert a % 9 == b % 9 == 0  # the first pair lies in column C1
-    assert a < b
-    # Pairs already covered by a present region are left out: same-box
-    # column neighbors stay covered by their box.
-    for p, q in pairs:
-        assert p % 9 == q % 9  # both cells in the absent column
-        assert p // 27 != q // 27  # never in one box
-
-
-def test_witness_pairs_yields_each_pair_once(board):
-    # The pairs inside B1 that lie in R1 or C1 are in two absent regions;
-    # each is searched once.
-    pairs = list(witness_pairs(parse_missing(board, "R1,C1,B1")))
-    assert len(pairs) == len(set(pairs)) == 78
 
 
 def test_modification_witness_families(board, monkeypatch):
@@ -227,7 +214,7 @@ def test_modification_witness_families(board, monkeypatch):
         assert verify_grid(grid, ConstraintSet.full(board))
 
     # Box quads and two bands of boxes: no one- or two-cell edit breaks
-    # only boxes, but a longer chain does, so no equality search runs.
+    # only boxes, but a longer chain does.
     monkeypatch.undo()
     for text in ("B1,B2,B4,B5", "B1,B2,B3,B4,B5,B6"):
         cset = parse_missing(board, text)
@@ -257,20 +244,6 @@ def test_find_witness_for_stuck_models(board):
         assert verify_grid(grid, ConstraintSet.full(board))
 
 
-def test_find_witness_by_equality_search(board, monkeypatch):
-    # With no swap grids, the witness must come from the equality search
-    # over witness_pairs.
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
-    cset = parse_missing(board, "R1,R4,B1,B5,B7,B8")
-    assert modification_witness(cset) is None
-    grid = find_witness(cset)
-    assert grid is not None
-    assert verify_grid(grid, cset) == frozenset()
-    violated = verify_grid(grid, ConstraintSet.full(board))
-    assert violated
-    assert violated <= set(cset.missing_ids)
-
-
 def recording_solves(monkeypatch):
     """Record (problem, value_order_seed, budget, nodes) of every equality
     solve, in call order."""
@@ -290,88 +263,23 @@ def recording_solves(monkeypatch):
 
 def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
     # A probe that never finds a solution climbs the Luby ladder until its
-    # budget is spent; each pair of a witness search climbs a prefix of
-    # that same ladder.  The closure of this pair's rest does not decide
+    # budget is spent.  The closure of this pair's rest does not decide
     # it, so the probe searches.
     calls = recording_solves(monkeypatch)
     record = probe_pair(
         board, expand_small(parse_missing(board, "R1,B1,B4,B5,B6,B7")),
-        (3, 4), budget=WITNESS_BUDGET)
+        (3, 4), budget=16_000)
     assert record.verdict == INCONCLUSIVE
     ladder = [(seed, limit) for _, seed, limit, _ in calls]
     assert ladder[0] == (None, LUBY_UNIT) == (None, 64)
-    assert sum(nodes for _, nodes in ladder) == record.nodes == WITNESS_BUDGET
-    assert ladder == list(restart_ladder(WITNESS_BUDGET))
-    calls.clear()
-    # The pairs of a witness search race, so their climbs interleave:
-    # group the rungs by problem, one problem per pair.  No swap grids, so
-    # that find_witness falls back on its race.
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
-    assert find_witness(parse_missing(board, "R1,R4,B1,B5,B7,B8")) is not None
-    climbs = {}
-    for problem, seed, limit, _ in calls:
-        climbs.setdefault(problem, []).append((seed, limit))
-    assert climbs
-    assert all(climb == ladder[:len(climb)] for climb in climbs.values())
-    assert max(len(climb) for climb in climbs.values()) > 1
-
-
-def test_find_witness_has_one_budget(board, monkeypatch):
-    # At a 64-node budget every pair of this model stops at its budget, and
-    # none gets a second, deeper climb: the search gives up after exactly
-    # one 64-node rung per pair.  No swap grids, so that the race runs.
-    monkeypatch.setattr(redoku.solver, "WITNESS_BUDGET", 64)
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
-    calls = recording_solves(monkeypatch)
-    cset = parse_missing(board, "B1,B2,B4,B6,B8,B9")
-    assert find_witness(cset) is None
-    assert len(list(witness_pairs(cset))) == len(calls) == 108
-    assert sum(nodes for *_, nodes in calls) == 108 * 64
-    assert max(limit for _, _, limit, _ in calls) == 64
-
-
-def test_find_witness_races_the_pairs(board, monkeypatch):
-    # A seven-missing catalog entry whose first searched pairs stall: the
-    # race finds a grid on a later pair before any pair spends its budget.
-    # No swap grids, so that the race runs.
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
-    calls = recording_solves(monkeypatch)
-    cset = parse_missing(board, "R1,C1,B2,B4,B6,B8,B9")
-    assert modification_witness(cset) is None
-    grid = find_witness(cset)
-    assert grid is not None
-    assert sum(nodes for *_, nodes in calls) < WITNESS_BUDGET
-    assert verify_grid(grid, cset) == frozenset()
-    violated = verify_grid(grid, ConstraintSet.full(board))
-    assert violated
-    assert violated <= set(cset.missing_ids)
-
-
-def test_find_witness_falls_back_on_the_race(board, monkeypatch):
-    # The first swap grid does not split this catalog entry, so with one
-    # grid the swap finds nothing and find_witness races the pairs.
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 1)
-    cset = parse_missing(board, "R1,R4,B1,B5,B7,B8")
-    assert modification_witness(cset) is None
-    races = []
-    real = redoku.solver.solve_equal
-    def solve_equal(problems, budget):
-        races.append(budget)
-        return real(problems, budget)
-    monkeypatch.setattr(redoku.solver, "solve_equal", solve_equal)
-    grid = find_witness(cset)
-    assert races == [WITNESS_BUDGET]
-    assert grid is not None
-    assert verify_grid(grid, cset) == frozenset()
-    violated = verify_grid(grid, ConstraintSet.full(board))
-    assert violated and violated <= set(cset.missing_ids)
+    assert sum(nodes for _, nodes in ladder) == record.nodes == 16_000
+    assert ladder == list(restart_ladder(16_000))
 
 
 @pytest.mark.parametrize("text", ["B1,B2,B5,B6", "R1,C1,B2,B5,B6"])
-def test_order_four_witnesses_need_no_search(text, monkeypatch):
-    # Order-4 catalog entries whose races take 2.37 M and 1.23 M nodes
-    # (minutes): a value swap on the first grid witnesses each.
-    monkeypatch.setattr(redoku.solver, "solve_equal", no_race)
+def test_order_four_witnesses_need_no_search(text):
+    # Order-4 catalog entries whose equality races took 2.37 M and 1.23 M
+    # nodes (minutes): a value swap on the first grid witnesses each.
     board4 = Board(4)
     cset = parse_missing(board4, text)
     start = time.monotonic()
