@@ -259,18 +259,11 @@ class Grid:
     def empty(cls, board: Board) -> "Grid":
         return cls(board, (0,) * board.num_cells)
 
-    @classmethod
-    def from_values(cls, board: Board, values) -> "Grid":
-        return cls(board, tuple(values))
-
     def get(self, row: int, col: int) -> int:
         return self.values[self.board.cell_index(row, col)]
 
     def is_complete(self) -> bool:
         return 0 not in self.values
-
-    def assigned_count(self) -> int:
-        return sum(1 for v in self.values if v)
 
     def to_line(self) -> str:
         """One-line text form: digits with 0 for blanks (comma-separated

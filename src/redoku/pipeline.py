@@ -123,12 +123,14 @@ def _level(n: int, k: int):
     matches the first catalog entry with a carrier g into its fixpoint,
     absent(g(entry)) within the fixpoint's; its counterexample grid is the
     entry's witness moved by g, verified against the class and the full
-    model.  A closed stuck class no entry carries into gets a value-swap
-    witness from find_witness and becomes a new entry; one that no swap
-    grid splits is left out, so its classes are unresolved, with no witness.
-    An entry with k absences carries only into fixpoints with at least k,
-    so the growing catalog gives each class the match the finished one
-    would.
+    model.  The match and the moved witness are found once per distinct
+    fixpoint (the 281 stuck classes of order 3's level 6 have 52).  A
+    closed stuck class no entry carries into gets a value-swap witness from
+    find_witness and becomes a new entry; one that no swap grid splits is
+    left out, so its classes are unresolved, with no witness.  An entry
+    with k absences carries only into fixpoints with at least k, so the
+    growing catalog gives each class the match the finished one would, and
+    a fixpoint's first match cannot change later in the level.
     """
     board = Board(n)
     if not 0 <= k <= board.num_big:
@@ -153,24 +155,27 @@ def _level(n: int, k: int):
         raise RuntimeError(
             f"orbit sizes at level {k} sum to {sum(orbits.values())}, "
             f"not C({board.num_big}, {k})")
-    catalog, records = list(catalog), {}
+    catalog, records, matches = list(catalog), {}, {}
     for mask in sorted(masks):
         cset = ConstraintSet(board, mask)
         fixpoint = ConstraintSet(board, close_mask(n, mask))
         verdict, entry, witness = SUDOKU, None, None
         if not fixpoint.is_full():
-            entry, g = next(((e, g) for e in catalog
-                             if (g := carrier(e.cset, fixpoint)) is not None),
-                            (None, None))
-            if entry is None and fixpoint == cset:
-                found = find_witness(cset)
-                if found is not None:
-                    entry, g = CatalogEntry(cset, found), carrier(cset, cset)
-                    catalog.append(entry)
+            if fixpoint.mask not in matches:
+                entry, g = next(((e, g) for e in catalog
+                                 if (g := carrier(e.cset, fixpoint))
+                                 is not None), (None, None))
+                if entry is None and fixpoint == cset:
+                    found = find_witness(cset)
+                    if found is not None:
+                        entry, g = CatalogEntry(cset, found), carrier(cset, cset)
+                        catalog.append(entry)
+                matches[fixpoint.mask] = entry, entry and g.move(entry.witness)
+            entry, moved = matches[fixpoint.mask]
             verdict = UNRESOLVED
             if entry is not None:
                 verdict = NOT_SUDOKU
-                witness = _checked_witness(g.move(entry.witness), cset)
+                witness = _checked_witness(moved, cset)
         records[mask] = ClassRecord(
             cset, orbits[mask], verdict, fixpoint, k - fixpoint.num_missing,
             entry.label if entry else None, witness)

@@ -7,7 +7,7 @@ import redoku.pipeline
 from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, SUDOKU, UNRESOLVED, enumerate_classes,
                              minimal_catalog, raw_count, run_classification)
-from redoku.symmetry import _canonical_key, canonical_key
+from redoku.symmetry import Symmetry, _canonical_key, canonical_key, carrier
 
 from helpers import (brute_force_classes, canonicalize, class_orbit_sizes,
                      derive_from_catalog)
@@ -219,6 +219,44 @@ def test_derived_classification_matches_direct(order, k):
         c.mask for c in direct.sudoku_classes}
     assert {c.mask for c in derived[NOT_SUDOKU]} == {
         c.mask for c in direct.non_sudoku_classes}
+
+
+@pytest.mark.parametrize("order, k", [(2, k) for k in range(13)]
+                         + [(3, k) for k in range(7)])
+def test_shared_matches_equal_per_class_matches(order, k):
+    # The sweep matches each fixpoint once; matching every stuck class on
+    # its own against the level's catalog must give the same entry and grid.
+    records, catalog = redoku.pipeline._level(order, k)
+    for record in records:
+        if record.verdict == SUDOKU:
+            continue
+        entry, g = next(((e, g) for e in catalog
+                         if (g := carrier(e.cset, record.fixpoint))
+                         is not None), (None, None))
+        assert record.catalog_match == (entry.label if entry else None)
+        assert record.witness == (g.move(entry.witness) if entry else None)
+
+
+def test_level_matches_each_fixpoint_once(monkeypatch, fresh_pipeline_caches):
+    # Level 6 of order 3: 281 stuck classes close to 52 distinct fixpoints.
+    # Matching each class on its own would make 418 carrier calls and 281
+    # moves.
+    redoku.pipeline._level(3, 5)
+    calls = {"carrier": 0, "move": 0}
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(redoku.pipeline, "carrier",
+                        counted("carrier", redoku.pipeline.carrier))
+    monkeypatch.setattr(Symmetry, "move", counted("move", Symmetry.move))
+    records, _ = redoku.pipeline._level(3, 6)
+    fixpoints = {r.fixpoint.mask for r in records
+                 if r.catalog_match is not None}
+    assert sum(r.verdict == NOT_SUDOKU for r in records) == 281
+    assert calls == {"carrier": 107, "move": len(fixpoints)}
+    assert len(fixpoints) == 52
 
 
 def test_records_carry_verifiable_evidence(board):
