@@ -4,6 +4,7 @@
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 ROW, COL, BOX = 0, 1, 2
 KIND_LETTERS = "RCB"
@@ -126,6 +127,11 @@ def _cell_regions(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple(map(Board(n).id_label, range(3 * n * n)))
+
+
 @dataclass(frozen=True)
 class Chute:
     """A band (horizontal) or stack (vertical): n lines plus n boxes."""
@@ -212,7 +218,8 @@ class ConstraintSet:
 
     def missing_labels(self) -> str:
         """Comma-separated missing-constraint labels; empty string = full set."""
-        return ",".join(self.board.id_label(i) for i in self.missing_ids)
+        labels = _labels(self.board.n)
+        return ",".join(labels[i] for i in self.missing_ids)
 
     def __str__(self) -> str:
         return f"missing={{{self.missing_labels()}}}"
@@ -268,9 +275,8 @@ class Grid:
     def to_line(self) -> str:
         """One-line text form: digits with 0 for blanks (comma-separated
         when values exceed one digit)."""
-        if self.board.side <= 9:
-            return "".join(str(v) for v in self.values)
-        return ",".join(str(v) for v in self.values)
+        sep = "" if self.board.side <= 9 else ","
+        return sep.join(map(str, self.values))
 
     def __str__(self) -> str:
         side = self.board.side
@@ -291,15 +297,11 @@ def verify_grid(grid: Grid, cset: ConstraintSet) -> frozenset[int]:
         raise ValueError("grid and constraint set belong to different boards")
     if not grid.is_complete():
         raise ValueError("verify_grid requires a complete grid")
-    regions = grid.board.region_cells_all
-    violated = []
-    for cid in cset.present_ids:
-        cells = regions[cid]
-        seen = 0
-        for cell in cells:
-            bit = 1 << grid.values[cell]
-            if seen & bit:
-                violated.append(cid)
-                break
-            seen |= bit
-    return frozenset(violated)
+    get, side = _region_getters(grid.board.n), grid.board.side
+    return frozenset(cid for cid in cset.present_ids
+                     if len(set(get[cid](grid.values))) < side)
+
+
+@lru_cache(maxsize=None)
+def _region_getters(n: int) -> tuple[itemgetter, ...]:
+    return tuple(itemgetter(*cells) for cells in _regions(n))

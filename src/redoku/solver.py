@@ -354,10 +354,11 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
 
 
 def _checked_witness(grid: Grid, cset: ConstraintSet) -> Grid:
-    # Every witness, swapped or moved, is re-verified from scratch.
-    if verify_grid(grid, cset):
+    # Every witness, swapped or moved, is re-verified by one full scan.
+    broken = verify_grid(grid, ConstraintSet.full(cset.board))
+    if any(cset.contains(cid) for cid in broken):
         raise RuntimeError("witness violates a present constraint")
-    if not verify_grid(grid, ConstraintSet.full(cset.board)):
+    if not broken:
         raise RuntimeError("witness is a fully valid grid")
     return grid
 

@@ -7,9 +7,9 @@
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations, product
 from math import comb, factorial, prod
-from operator import itemgetter
+from operator import ge, itemgetter, or_
 
 from .board import Board, ConstraintSet, Grid
 
@@ -145,36 +145,38 @@ def _completions(board: Board, source: int, target: int):
     one per coarse element.
 
     The coarse image must keep the target's present boxes, and no band or
-    stack of it may have more absent lines than the target's.  In each band
-    and stack, a line permutation then pairs the image's lines with the
-    target's, both sorted present lines first, which puts the image's
-    absent lines onto absent lines of the target.  A symmetry keeps the
-    number of absent constraints, so for equal masks the subset is an
-    equality.
+    stack of it may have fewer present lines than the target's; band and
+    stack orders breaking the counts are dropped before any element is
+    applied.  In each band and stack, a line permutation then pairs the
+    image's lines with the target's, both sorted present lines first, which
+    puts the image's absent lines onto absent lines of the target.  A
+    symmetry keeps the number of absent constraints, so for equal masks the
+    subset is an equality.
     """
     n, side = board.n, board.side
-    seg = (1 << n) - 1
-    for coarse in _coarse(n):
-        image = coarse.apply_mask(source)
-        if target >> 2 * side & ~image >> 2 * side:
-            continue  # a present box of the target has no source
-        if any((image >> shift & seg).bit_count()
-               < (target >> shift & seg).bit_count()
-               for shift in range(0, 2 * side, n)):
-            continue  # a segment has more absent lines than the target's
-        fix = [list(range(side)), list(range(side))]
-        for offset, perm in zip((0, side), fix):
-            for chute in range(0, side, n):
-                lines = range(chute, chute + n)
-                src = sorted(lines, key=lambda i: not image >> offset + i & 1)
-                dst = sorted(lines, key=lambda i: not target >> offset + i & 1)
-                for a, b in zip(src, dst):
-                    perm[a] = b
-        g = Symmetry(board, coarse.transpose,
-                     tuple(fix[0][r] for r in coarse.rows),
-                     tuple(fix[1][c] for c in coarse.cols))
-        if target & ~g.apply_mask(source) == 0:
-            yield g
+    coarse, perms = _coarse(n), list(permutations(range(n)))
+    goal = _views(n, target)[0]
+    for flag, view in enumerate(_views(n, source)):
+        fits = ([i for i, perm in enumerate(perms)  # band, then stack orders
+                 if all(map(ge, have, itemgetter(*perm)(want)))]
+                for have, want in zip(view, goal))
+        for sigma, tau in product(*fits):
+            g = coarse[(flag * len(perms) + sigma) * len(perms) + tau]
+            image = g.apply_mask(source)
+            if target >> 2 * side & ~image >> 2 * side:
+                continue  # a present box of the target has no source
+            fix = [list(range(side)), list(range(side))]
+            for at, perm in zip((0, side), fix):
+                for chute in range(0, side, n):
+                    lines = range(chute, chute + n)
+                    src = sorted(lines, key=lambda i: not image >> at + i & 1)
+                    dst = sorted(lines, key=lambda i: not target >> at + i & 1)
+                    for a, b in zip(src, dst):
+                        perm[a] = b
+            g = Symmetry(board, g.transpose, tuple(fix[0][r] for r in g.rows),
+                         tuple(fix[1][c] for c in g.cols))
+            if target & ~g.apply_mask(source) == 0:
+                yield g
 
 
 def carrier(entry: ConstraintSet, cset: ConstraintSet) -> Symmetry | None:
@@ -255,26 +257,15 @@ def carry_from_root(board: Board, orbits: dict, pair) -> Symmetry:
 # Every group element is a coarse element followed by line permutations
 # inside each band and stack.  Those act on disjoint segments of the line
 # ids, so over the elements sharing one coarse part the lexicographically
-# smallest presence vector puts each segment's absent lines first: it is
-# the image key of the coarse image, and the minimum over the group is the
-# minimum over the 2 * (n!)^2 coarse elements.  Keys pack R1 as the most
-# significant bit.  A coarse image's row part depends only on the transpose
-# flag and the band permutation, and is smallest with the bands' present
-# counts ascending; its column part likewise on the flag and the stack
-# permutation.  So _canonical_key finds the minimum in stages: rows, then
-# columns, then the box bits of the elements left.
-
-
-def _image_key(n: int, image: int) -> int:
-    """Packed key of a coarse image, each segment's absent lines first."""
-    side = n * n
-    seg = (1 << n) - 1
-    key = 0
-    for k in range(2 * n):  # row bands, then column stacks
-        present = (image >> k * n & seg).bit_count()
-        key |= ((1 << present) - 1) << 3 * side - k * n - n
-    # Boxes keep their presence bits, B1 most significant.
-    return key | int(f"{image >> 2 * side:0{side}b}"[::-1], 2)
+# smallest presence vector puts each segment's absent lines first, and the
+# minimum over the group is the minimum over the 2 * (n!)^2 coarse elements.
+# Keys pack R1 as the most significant bit.  A coarse image's row part
+# depends only on the transpose flag and the band permutation, and is
+# smallest with the bands' present counts ascending; its column part
+# likewise on the flag and the stack permutation.  So _canonical_key finds
+# the minimum in stages: rows, then columns, then the box bits of the
+# elements left.  Caches filled on first use hold each line pattern's
+# stages, each box pattern's rows and each count tuple's sorting orders.
 
 
 def canonical_key(cset: ConstraintSet) -> int:
@@ -282,55 +273,69 @@ def canonical_key(cset: ConstraintSet) -> int:
     return _canonical_key(cset.board.n, cset.mask)
 
 
-def _views(n: int, mask: int):
-    """(present lines per band, per stack, box rows) of the model and of
-    its transpose; box row a lists band a's presence bits, B1 first."""
-    side, seg = n * n, (1 << n) - 1
-    counts = tuple((mask >> k * n & seg).bit_count() for k in range(2 * n))
-    boxes = f"{mask >> 2 * side:0{side}b}"[::-1]
-    by_band = [boxes[a * n:a * n + n] for a in range(n)]
-    # Transposed, the image's rows come from the stacks, its columns from
-    # the bands, and its box (a, b) from box (b, a).
-    return ((counts[:n], counts[n:], by_band),
-            (counts[n:], counts[:n], ["".join(s) for s in zip(*by_band)]))
-
-
-def _canonical_key(n: int, mask: int) -> int:
-    """The smallest _image_key over the coarse elements, in stages."""
-    views = _views(n, mask)
-    heads = [(tuple(sorted(rows)), tuple(sorted(cols)))
-             for rows, cols, _ in views]
-    row_head, col_head = min(heads)
-    # For each stack order that sorts the column counts, bands of equal
-    # count may come in any order, so the smallest box bits list the bands'
-    # boxes, read in that stack order, ascending within each count.
-    picks = [itemgetter(*tau) for tau in permutations(range(n))]
-    best = min(sorted(zip(rows, map(pick, box_rows)))
-               for (rows, cols, box_rows), head in zip(views, heads)
-               if head == (row_head, col_head)
-               for pick in picks if pick(cols) == col_head)
-    image = int("".join("".join(line) for _, line in best)[::-1], 2)
-    image <<= 2 * n * n
-    for k, present in enumerate(row_head + col_head):
-        image |= ((1 << present) - 1) << k * n
-    return _image_key(n, image)
-
-
-def _key_to_mask(key: int, num_big: int) -> int:
-    mask = 0
-    for i in range(num_big):
-        if key >> (num_big - 1 - i) & 1:
-            mask |= 1 << i
-    return mask
+@lru_cache(maxsize=None)
+def _box_rows(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
+    """Box rows of the model and of its transpose, as n-bit integers: row a
+    holds band a's boxes, the first most significant."""
+    text = f"{boxes:0{n * n}b}"[::-1]  # B1 first
+    return (tuple(int(text[a * n:a * n + n], 2) for a in range(n)),
+            tuple(int(text[b::n], 2) for b in range(n)))
 
 
 @lru_cache(maxsize=None)
-def _segment_patterns(n: int) -> tuple[tuple[int, ...], ...]:
-    """n-bit patterns grouped by popcount."""
-    pats: list[list[int]] = [[] for _ in range(n + 1)]
-    for x in range(1 << n):
-        pats[bin(x).count("1")].append(x)
-    return tuple(tuple(p) for p in pats)
+def _sorts(counts: tuple[int, ...]):
+    """The counts ascending, and for each order tau sorting them (tau[j] is
+    the chute put j-th), a table of count << n | box row read in its order."""
+    n, head = len(counts), tuple(sorted(counts))
+    picks = [itemgetter(*tau) for tau in permutations(range(n))]
+    reads = [[int("".join(pick(f"{row:0{n}b}")), 2) for row in range(1 << n)]
+             for pick in picks if pick(counts) == head]
+    return head, tuple(tuple(count << n | row for count in range(n + 1)
+                             for row in read) for read in reads)
+
+
+def _views(n: int, mask: int):
+    """(present lines per band, per stack) of the model and of its
+    transpose, whose rows come from the stacks."""
+    seg = (1 << n) - 1
+    counts = tuple((mask >> k * n & seg).bit_count() for k in range(2 * n))
+    return (counts[:n], counts[n:]), (counts[n:], counts[:n])
+
+
+@lru_cache(maxsize=None)
+def _line_views(n: int, lines: int):
+    """The key's line bits, each segment's absent lines first, from the
+    smallest (sorted band counts, sorted stack counts) over the views; for
+    each view reaching them, its flag, band counts << n and stack tables."""
+    views = [(_sorts(rows), _sorts(cols), flag, tuple(c << n for c in rows))
+             for flag, (rows, cols) in enumerate(_views(n, lines))]
+    head = min((rows[0], cols[0]) for rows, cols, _, _ in views)
+    key = int("".join(f"{(1 << p) - 1:0{n}b}" for p in head[0] + head[1]), 2)
+    return key, tuple((flag, shifted, tables)
+                      for (row_head, _), (col_head, tables), flag, shifted
+                      in views if (row_head, col_head) == head)
+
+
+def _staged(n: int, mask: int):
+    """The key's line bits, and for each view and stack order left, the
+    view's bands read in that order and sorted: its smallest image, since
+    bands of equal count may come in any order."""
+    key, views = _line_views(n, mask & (1 << 2 * n * n) - 1)
+    boxes = _box_rows(n, mask >> 2 * n * n)
+    return key, [sorted(map(table.__getitem__, map(or_, shifted, boxes[flag])))
+                 for flag, shifted, tables in views for table in tables]
+
+
+def _canonical_key(n: int, mask: int) -> int:
+    """The line bits of _staged, then its smallest bands' box rows."""
+    key, candidates = _staged(n, mask)
+    for band in min(candidates):
+        key = key << n | band & (1 << n) - 1
+    return key
+
+
+def _key_to_mask(key: int, num_big: int) -> int:
+    return int(f"{key:0{num_big}b}"[::-1], 2)
 
 
 def group_images(cset: ConstraintSet) -> frozenset[int]:
@@ -339,7 +344,8 @@ def group_images(cset: ConstraintSet) -> frozenset[int]:
     oracle that tests and perfbench/check.py compare orbit_size with."""
     n, side = cset.board.n, cset.board.side
     seg = (1 << n) - 1
-    pats = _segment_patterns(n)
+    pats = [[p for p in range(1 << n) if p.bit_count() == k]
+            for k in range(n + 1)]
     images: set[int] = set()
     for g in _coarse(n):
         image = g.apply_mask(cset.mask)
@@ -357,25 +363,16 @@ def orbit_size(cset: ConstraintSet) -> int:
     A coarse element permutes the 2n line segments, so every image has as
     many line arrangements as the model: the product over the segments of
     C(n, absent lines).  Two coarse images share all their arrangements
-    when their image keys agree and none otherwise, so the orbit holds that
-    product times the number of distinct keys.  Coarse elements map the
-    arrangement with each segment's absent lines first onto such
-    arrangements, one per key, so the keys number 2 * (n!)^2 over the coarse
-    elements that fix its segment counts and box rows.  Those are counted in
-    stages: for each view, the band orders sigma and stack orders tau that
-    carry its counts onto the model's, then the pairs that carry its boxes."""
+    when their keys agree and none otherwise, so the orbit holds that
+    product times the number of distinct keys, which is 2 * (n!)^2 over the
+    number of coarse elements that fix the model's segment counts and box
+    rows.  As many carry the model onto its key: for each smallest _staged
+    candidate, the band orders that permute its equal bands."""
     n, mask = cset.board.n, cset.mask
-    seg = (1 << n) - 1
-    arrangements = prod(comb(n, (mask >> shift & seg).bit_count())
-                        for shift in range(0, 2 * n * n, n))
-    views = _views(n, mask)
-    rows, cols, box_rows = views[0]
-    perms = [(perm, itemgetter(*perm)) for perm in permutations(range(n))]
-    fixing = 0
-    for view_rows, view_cols, view_boxes in views:
-        sigmas = [sigma for sigma, pick in perms if pick(rows) == view_rows]
-        taus = [pick for _, pick in perms if pick(cols) == view_cols]
-        fixing += sum(all(tau(box_rows[a]) == tuple(line)
-                          for a, line in zip(sigma, view_boxes))
-                      for sigma in sigmas for tau in taus)
+    rows, cols = _views(n, mask)[0]
+    arrangements = prod(comb(n, present) for present in rows + cols)
+    _, candidates = _staged(n, mask)
+    best = min(candidates)
+    fixing = sum(prod(factorial(len(list(same))) for _, same in groupby(bands))
+                 for bands in candidates if bands == best)
     return arrangements * 2 * factorial(n) ** 2 // fixing

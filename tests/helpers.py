@@ -10,8 +10,8 @@ from redoku.pipeline import (NOT_SUDOKU, SUDOKU, _level, enumerate_classes,
                              minimal_catalog)
 from redoku.rewrite import _chute_tables, _step_for_chute
 from redoku.solver import SolverProblem
-from redoku.symmetry import (_canonical_key, _key_to_mask, canonical_key,
-                             group_images)
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _key_to_mask,
+                             canonical_key, group_images)
 
 
 def pattern_solution(board: Board, shift: int = 0) -> Grid:
@@ -31,6 +31,47 @@ def pattern_solution(board: Board, shift: int = 0) -> Grid:
 def group_order(board: Board) -> int:
     f = factorial(board.n)
     return 2 * (f * f ** board.n) ** 2
+
+
+def image_key(n: int, image: int) -> int:
+    """Packed key of a coarse image, each segment's absent lines first."""
+    side = n * n
+    seg = (1 << n) - 1
+    key = 0
+    for k in range(2 * n):  # row bands, then column stacks
+        present = (image >> k * n & seg).bit_count()
+        key |= ((1 << present) - 1) << 3 * side - k * n - n
+    # Boxes keep their presence bits, B1 most significant.
+    return key | int(f"{image >> 2 * side:0{side}b}"[::-1], 2)
+
+
+def unfiltered_completions(board: Board, source: int, target: int):
+    """Completions of source into target by a walk over every coarse
+    element in _coarse order, each applied before any test; the reference
+    for the counts prefilter of symmetry._completions."""
+    n, side = board.n, board.side
+    seg = (1 << n) - 1
+    for coarse in _coarse(n):
+        image = coarse.apply_mask(source)
+        if target >> 2 * side & ~image >> 2 * side:
+            continue  # a present box of the target has no source
+        if any((image >> shift & seg).bit_count()
+               < (target >> shift & seg).bit_count()
+               for shift in range(0, 2 * side, n)):
+            continue  # a segment has more absent lines than the target's
+        fix = [list(range(side)), list(range(side))]
+        for offset, perm in zip((0, side), fix):
+            for chute in range(0, side, n):
+                lines = range(chute, chute + n)
+                src = sorted(lines, key=lambda i: not image >> offset + i & 1)
+                dst = sorted(lines, key=lambda i: not target >> offset + i & 1)
+                for a, b in zip(src, dst):
+                    perm[a] = b
+        g = Symmetry(board, coarse.transpose,
+                     tuple(fix[0][r] for r in coarse.rows),
+                     tuple(fix[1][c] for c in coarse.cols))
+        if target & ~g.apply_mask(source) == 0:
+            yield g
 
 
 def canonicalize(cset: ConstraintSet) -> ConstraintSet:

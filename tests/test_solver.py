@@ -8,12 +8,13 @@ import redoku.solver
 from helpers import brute_force_satisfiable, pattern_solution
 from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           region_cells, verify_grid)
+from redoku.pipeline import _level
 from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
-                           UNSATISFIABLE, SolverProblem, _Engine, find_witness,
-                           luby, modification_witness, parse_puzzle_line,
-                           pin_equal, read_corpus, restart_ladder, solve,
-                           solve_equal)
+                           UNSATISFIABLE, SolverProblem, _checked_witness,
+                           _Engine, _swap_grid, find_witness, luby,
+                           modification_witness, parse_puzzle_line, pin_equal,
+                           read_corpus, restart_ladder, solve, solve_equal)
 
 
 def test_full_board_solves(board):
@@ -223,6 +224,22 @@ def test_modification_witness_families(board, monkeypatch):
         assert verify_grid(grid, cset) == frozenset()
         violated = verify_grid(grid, ConstraintSet.full(board))
         assert violated and violated <= set(cset.missing_ids)
+
+
+def test_checked_witness_rejects_both_faults(board):
+    # A moved witness whose present region repeats a value, and a grid that
+    # satisfies every region, each fail the one scan.
+    record = next(r for r in _level(3, 6)[0] if r.witness is not None
+                  and r.catalog_match != r.cset.missing_labels())
+    cid = record.cset.present_ids[0]
+    a, b = region_cells(cid, board)[:2]
+    values = list(record.witness.values)
+    values[b] = values[a]
+    with pytest.raises(RuntimeError, match="violates a present constraint"):
+        _checked_witness(Grid(board, tuple(values)), record.cset)
+    assert _checked_witness(record.witness, record.cset) == record.witness
+    with pytest.raises(RuntimeError, match="is a fully valid grid"):
+        _checked_witness(_swap_grid(3, 0), record.cset)
 
 
 def test_find_witness_rejects_full_model(board):

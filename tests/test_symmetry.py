@@ -3,19 +3,20 @@ import random
 import pytest
 
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, prod
 
 from redoku.board import (Board, ConstraintSet, parse_missing, region_cells,
                           verify_grid)
-from redoku.pipeline import enumerate_classes
+from redoku.pipeline import _level, enumerate_classes
 from redoku.smalls import expand_small, sample_probes
-from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _image_key,
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _completions,
                              _key_to_mask, canonical_key, carrier,
                              carry_from_root, generators, group_images,
                              orbit_size, pair_orbits, stabilizer_generators)
 
-from helpers import canonicalize, covers, group_order, pattern_solution
+from helpers import (canonicalize, covers, group_order, image_key,
+                     pattern_solution, unfiltered_completions)
 
 
 def bfs_walk(cset):
@@ -155,7 +156,7 @@ def coarse_image_orbit_size(cset):
     seg = (1 << n) - 1
     arrangements = prod(comb(n, (mask >> shift & seg).bit_count())
                         for shift in range(0, 2 * n * n, n))
-    first = _key_to_mask(_image_key(n, mask), cset.board.num_big)
+    first = _key_to_mask(image_key(n, mask), cset.board.num_big)
     return arrangements * len({g.apply_mask(first) for g in _coarse(n)})
 
 
@@ -374,6 +375,23 @@ def test_carrier_exists_exactly_when_the_entry_covers(order):
     assert found[True] > 20 and found[False] > 20
 
 
+@pytest.mark.parametrize("order, top", [(2, 12), (3, 7)])
+def test_carrier_prefilter_loses_no_carrier(order, top):
+    # Every (catalog entry, stuck fixpoint) pair a level's sweep can meet:
+    # the counts prefilter of carrier keeps every completion, in the order
+    # of an unfiltered walk over the coarse elements.
+    board = Board(order)
+    for k in range(top + 1):
+        records, catalog = _level(order, k)
+        fixpoints = {r.fixpoint.mask for r in records
+                     if not r.fixpoint.is_full()}
+        for mask, entry in product(sorted(fixpoints), catalog):
+            walk = list(unfiltered_completions(board, entry.cset.mask, mask))
+            assert list(_completions(board, entry.cset.mask, mask)) == walk
+            assert carrier(entry.cset, ConstraintSet(board, mask)) == (
+                walk[0] if walk else None)
+
+
 def test_carrier_of_a_model_onto_itself_is_the_identity(board):
     rng = random.Random(29)
     for _ in range(10):
@@ -436,7 +454,7 @@ def test_staged_keys_match_image_keys(order):
         masks += [cset.mask for cset in enumerate_classes(board, 6)]
     for mask in masks:
         assert _canonical_key(order, mask) == min(
-            _image_key(order, g.apply_mask(mask)) for g in _coarse(order))
+            image_key(order, g.apply_mask(mask)) for g in _coarse(order))
 
 
 def test_order_two_keys_are_smallest_images_of_bfs_orbits(board2):
