@@ -2,23 +2,24 @@
 # identifiers, constraint sets, and grids, parameterized by board order
 # (order 3 = the standard 9x9 board with 27 big constraints).
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 ROW, COL, BOX = 0, 1, 2
 KIND_LETTERS = "RCB"
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(namedtuple("Board", "n")):
     """Board geometry for a given order n (side n*n, 3*n*n big constraints)."""
 
-    n: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"board order must be >= 2, got {self.n}")
+    def __new__(cls, n: int = 3):
+        if n < 2:
+            raise ValueError(f"board order must be >= 2, got {n}")
+        return super().__new__(cls, n)
 
     @property
     def side(self) -> int:
@@ -132,8 +133,7 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(map(Board(n).id_label, range(3 * n * n)))
 
 
-@dataclass(frozen=True)
-class Chute:
+class Chute(NamedTuple):
     """A band (horizontal) or stack (vertical): n lines plus n boxes."""
 
     horizontal: bool
@@ -172,16 +172,15 @@ def chute_members(chute: Chute, board: Board) -> tuple[tuple[int, ...], tuple[in
     return lines, boxes
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(namedtuple("ConstraintSet", "board mask")):
     """A subset of the 3n^2 big constraints, stored as a presence bitmask."""
 
-    board: Board
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.board.full_mask:
+    def __new__(cls, board: Board, mask: int):
+        if not 0 <= mask <= board.full_mask:
             raise ValueError("constraint mask out of range for board")
+        return super().__new__(cls, board, mask)
 
     @classmethod
     def full(cls, board: Board) -> "ConstraintSet":
@@ -247,20 +246,19 @@ def region_cells(cid: int, board: Board) -> tuple[int, ...]:
     return board.region_cells_all[cid]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(namedtuple("Grid", "board values")):
     """Assignment of cell values, 0 = unassigned, row-major flat storage."""
 
-    board: Board
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != self.board.num_cells:
+    def __new__(cls, board: Board, values: tuple[int, ...]):
+        if len(values) != board.num_cells:
             raise ValueError(
-                f"expected {self.board.num_cells} values, got {len(self.values)}")
-        for v in self.values:
-            if not 0 <= v <= self.board.side:
-                raise ValueError(f"cell value {v} out of domain 1..{self.board.side}")
+                f"expected {board.num_cells} values, got {len(values)}")
+        for v in values:
+            if not 0 <= v <= board.side:
+                raise ValueError(f"cell value {v} out of domain 1..{board.side}")
+        return super().__new__(cls, board, values)
 
     @classmethod
     def empty(cls, board: Board) -> "Grid":

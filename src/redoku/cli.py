@@ -22,7 +22,6 @@ import sys
 from collections import Counter
 
 from .board import Board, ConstraintSet, parse_missing
-from .figures import render_ascii, render_class_sheets, render_svg
 from .pipeline import minimal_catalog, run_classification
 from .rewrite import closure
 from .smalls import (CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET, INCONCLUSIVE,
@@ -303,6 +302,8 @@ def _cmd_solve(parser, args) -> int:
 
 
 def _cmd_figure(parser, args) -> int:
+    # Imported here: the only command that draws, so no other launch pays.
+    from .figures import render_ascii, render_class_sheets, render_svg
     if args.missing is not None:
         cset = _parse_model(parser, args)
         if args.format == "svg":

@@ -5,12 +5,12 @@
 
 import math
 import time
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .board import Board, ConstraintSet, Grid
 from .rewrite import close_mask
-from .solver import _checked_witness, find_witness
+from .solver import _broken_regions, _checked_witness, find_witness
 from .symmetry import _canonical_key, _key_to_mask, carrier, orbit_size
 from .symmetry import group_images  # noqa: F401 (perfbench/trace.py wraps it)
 
@@ -19,8 +19,7 @@ NOT_SUDOKU = "not-sudoku"
 UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A witnessed, subset-minimal stuck model class."""
 
     cset: ConstraintSet
@@ -34,8 +33,7 @@ class CatalogEntry:
         return {"missing": self.label, "witness": self.witness.to_line()}
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """Classification result for one canonical class."""
 
     cset: ConstraintSet
@@ -58,8 +56,7 @@ class ClassRecord:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     board: Board
     n_missing: int
     raw_count: int
@@ -123,14 +120,16 @@ def _level(n: int, k: int):
     matches the first catalog entry with a carrier g into its fixpoint,
     absent(g(entry)) within the fixpoint's; its counterexample grid is the
     entry's witness moved by g, verified against the class and the full
-    model.  The match and the moved witness are found once per distinct
-    fixpoint (the 281 stuck classes of order 3's level 6 have 52).  A
-    closed stuck class no entry carries into gets a value-swap witness from
-    find_witness and becomes a new entry; one that no swap grid splits is
-    left out, so its classes are unresolved, with no witness.  An entry
-    with k absences carries only into fixpoints with at least k, so the
-    growing catalog gives each class the match the finished one would, and
-    a fixpoint's first match cannot change later in the level.
+    model.  The match, the moved witness and the regions it breaks are
+    found once per distinct fixpoint (the 281 stuck classes of order 3's
+    level 6 have 52), and each class checks those regions against its own
+    present constraints.  A closed stuck class no entry carries into gets a
+    value-swap witness from find_witness and becomes a new entry; one that
+    no swap grid splits is left out, so its classes are unresolved, with no
+    witness.  An entry with k absences carries only into fixpoints with at
+    least k, so the growing catalog gives each class the match the finished
+    one would, and a fixpoint's first match cannot change later in the
+    level.
     """
     board = Board(n)
     if not 0 <= k <= board.num_big:
@@ -170,12 +169,14 @@ def _level(n: int, k: int):
                     if found is not None:
                         entry, g = CatalogEntry(cset, found), carrier(cset, cset)
                         catalog.append(entry)
-                matches[fixpoint.mask] = entry, entry and g.move(entry.witness)
-            entry, moved = matches[fixpoint.mask]
+                moved = entry and g.move(entry.witness)
+                matches[fixpoint.mask] = (entry, moved,
+                                          moved and _broken_regions(moved))
+            entry, moved, broken = matches[fixpoint.mask]
             verdict = UNRESOLVED
             if entry is not None:
                 verdict = NOT_SUDOKU
-                witness = _checked_witness(moved, cset)
+                witness = _checked_witness(moved, cset, broken)
         records[mask] = ClassRecord(
             cset, orbits[mask], verdict, fixpoint, k - fixpoint.num_missing,
             entry.label if entry else None, witness)

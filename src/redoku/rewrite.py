@@ -6,9 +6,8 @@
 # ("LemmaII").  Closing a model under both steps is confluent, so the
 # fixpoint is order-independent even though the recorded trace is not.
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .board import Board, Chute, ConstraintSet, chute_members, chutes
 
@@ -16,8 +15,7 @@ LEMMA_I = "LemmaI"
 LEMMA_II = "LemmaII"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One lemma application: which chute fired and which id it derived."""
 
     chute: Chute

@@ -4,9 +4,9 @@
 # certificate proves it can, a witness grid proves it cannot.
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .board import Board, ConstraintSet, Grid, region_cells
 from .rewrite import closure
@@ -111,8 +111,7 @@ def _closed_rest(board: Board, base, pair):
     return (closed, pair, extras), certificate
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     """Outcome of one equality probe against a pair of a small set."""
 
     pair: tuple[int, int]

@@ -6,9 +6,10 @@
 # is (a, b), flat cells row-major from 0.
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .board import Board, ConstraintSet, Grid, region_cells, verify_grid
 from .rewrite import close_mask
@@ -20,34 +21,31 @@ BUDGET = "budget"
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class SolverProblem:
+class SolverProblem(namedtuple("SolverProblem",
+                               "bigs extra_smalls equalities givens")):
     """Immutable problem statement handed to solve(); extra_smalls
     (inequalities) and equalities hold flat (a, b) cell pairs."""
 
-    bigs: ConstraintSet
-    extra_smalls: tuple = ()
-    equalities: tuple = ()
-    givens: Grid | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.givens is not None and self.givens.board != self.board:
+    def __new__(cls, bigs: ConstraintSet, extra_smalls: tuple = (),
+                equalities: tuple = (), givens: Grid | None = None):
+        if givens is not None and givens.board != bigs.board:
             raise ValueError("givens grid belongs to a different board")
+        return super().__new__(cls, bigs, extra_smalls, equalities, givens)
 
     @property
     def board(self) -> Board:
         return self.bigs.board
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     nodes: int
     propagations: int
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class SolverOutcome:
+class SolverOutcome(NamedTuple):
     status: str
     grid: Grid | None
     stats: SolveStats
@@ -349,13 +347,18 @@ def modification_witness(cset: ConstraintSet) -> Grid | None:
                 if swapped is not chain[home[cid][b]]:
                     for cell in swapped:
                         values[cell] = a + b - values[cell]
-                    return _checked_witness(Grid(board, tuple(values)), cset)
+                    grid = Grid(board, tuple(values))
+                    return _checked_witness(grid, cset, _broken_regions(grid))
     return None
 
 
-def _checked_witness(grid: Grid, cset: ConstraintSet) -> Grid:
-    # Every witness, swapped or moved, is re-verified by one full scan.
-    broken = verify_grid(grid, ConstraintSet.full(cset.board))
+def _broken_regions(grid: Grid) -> frozenset[int]:
+    return verify_grid(grid, ConstraintSet.full(grid.board))
+
+
+def _checked_witness(grid: Grid, cset: ConstraintSet, broken) -> Grid:
+    # A witness, swapped or moved, must break some region and only absent
+    # ones of its model; `broken` is _broken_regions(grid), one scan a grid.
     if any(cset.contains(cid) for cid in broken):
         raise RuntimeError("witness violates a present constraint")
     if not broken:

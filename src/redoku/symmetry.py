@@ -5,7 +5,7 @@
 # lexicographically smallest presence vector (R1 most significant, then
 # C1.., then B1..) over the group.
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby, permutations, product
 from math import comb, factorial, prod
@@ -14,25 +14,23 @@ from operator import ge, itemgetter, or_
 from .board import Board, ConstraintSet, Grid
 
 
-@dataclass(frozen=True)
-class Symmetry:
+class Symmetry(namedtuple("Symmetry", "board transpose rows cols")):
     """One board symmetry: an optional transpose, then a row permutation
     that keeps the rows of each band together and a column permutation
-    that keeps the columns of each stack together.  It acts on cells, on
-    grids, and on constraint ids and presence masks."""
+    that keeps the columns of each stack together; rows[r] is the row that
+    row r moves to, 0-based, and likewise cols.  It acts on cells, on grids,
+    and on constraint ids and presence masks.  It has no __slots__, so that
+    cells and labels can be cached."""
 
-    board: Board
-    transpose: bool
-    rows: tuple[int, ...]  # rows[r] = the row that row r moves to, 0-based
-    cols: tuple[int, ...]
-
-    def __post_init__(self):
-        n, side = self.board.n, self.board.side
-        for lines in (self.rows, self.cols):
+    def __new__(cls, board: Board, transpose: bool, rows: tuple[int, ...],
+                cols: tuple[int, ...]):
+        n, side = board.n, board.side
+        for lines in (rows, cols):
             if sorted(lines) != list(range(side)):
                 raise ValueError("lines are not permuted")
             if any(lines[i] // n != lines[i - i % n] // n for i in range(side)):
                 raise ValueError("line permutation splits a band or stack")
+        return super().__new__(cls, board, transpose, rows, cols)
 
     @cached_property
     def cells(self) -> tuple[int, ...]:

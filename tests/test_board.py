@@ -1,9 +1,15 @@
 import pytest
 
 from helpers import pattern_solution
-from redoku.board import (BOX, COL, ROW, Board, ConstraintSet, Grid, chutes,
-                          chute_members, parse_missing, region_cells,
+from redoku.board import (BOX, COL, ROW, Board, Chute, ConstraintSet, Grid,
+                          chutes, chute_members, parse_missing, region_cells,
                           verify_grid)
+from redoku.pipeline import (SUDOKU, CatalogEntry, ClassificationReport,
+                             ClassRecord)
+from redoku.rewrite import LEMMA_I, Step
+from redoku.smalls import REDUNDANT, ProbeRecord
+from redoku.solver import SOLUTION, SolverOutcome, SolverProblem, SolveStats
+from redoku.symmetry import Symmetry
 
 
 def test_board_dimensions(board):
@@ -152,3 +158,62 @@ def test_order_two_board(board2):
     assert board2.num_cells == 16
     grid = pattern_solution(board2)
     assert verify_grid(grid, ConstraintSet.full(board2)) == frozenset()
+
+
+def _value_types(board):
+    """One value of each of the package's 13 value types."""
+    cset, grid = ConstraintSet.full(board), pattern_solution(board)
+    stats = SolveStats(0, 0)
+    ident = tuple(range(board.side))
+    return [
+        board, Chute(True, 1), cset, grid,
+        Step(Chute(True, 1), LEMMA_I, 18),
+        ProbeRecord((0, 1), REDUNDANT, None, 0, 0),
+        SolverProblem(cset), stats, SolverOutcome(SOLUTION, grid, stats),
+        CatalogEntry(cset, grid),
+        ClassRecord(cset, 1, SUDOKU, cset, 0, None, None),
+        ClassificationReport(board, 0, 1, (), (), 0.0),
+        Symmetry(board, False, ident, ident),
+    ]
+
+
+def test_value_types_are_immutable(board):
+    values = _value_types(board)
+    assert len({type(value) for value in values}) == 13
+    for value in values:
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+
+
+def test_checked_value_types_reject_bad_keyword_arguments(board):
+    ident = tuple(range(9))
+    cases = [
+        (lambda: Board(n=1), "board order must be >= 2, got 1"),
+        (lambda: ConstraintSet(board=board, mask=-1),
+         "constraint mask out of range"),
+        (lambda: ConstraintSet(board=board, mask=board.full_mask + 1),
+         "constraint mask out of range"),
+        (lambda: Grid(board=board, values=(0,) * 80),
+         "expected 81 values, got 80"),
+        (lambda: Grid(board=board, values=(10,) * 81),
+         "cell value 10 out of domain"),
+        (lambda: SolverProblem(ConstraintSet.full(board),
+                               givens=Grid.empty(Board(2))),
+         "givens grid belongs to a different board"),
+        (lambda: Symmetry(board=board, transpose=False, rows=(0,) * 9,
+                          cols=ident), "lines are not permuted"),
+        (lambda: Symmetry(board=board, transpose=False, rows=ident,
+                          cols=(3, 1, 2, 0, 4, 5, 6, 7, 8)),
+         "line permutation splits a band or stack"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_value_hashes_are_their_fields_tuple_hashes(board):
+    # Set and dict orders, and so report orders, rest on these hashes.
+    for mask in (0, 5, board.full_mask):
+        assert hash(ConstraintSet(board, mask)) == hash((board, mask))
+    assert hash(board) == hash((3,))

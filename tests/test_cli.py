@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import redoku.cli
 import redoku.pipeline
 import redoku.solver
 from redoku.board import Board, parse_missing
@@ -402,3 +406,17 @@ def test_output_to_missing_directory_is_usage_error(capsys):
         capsys)
     assert code == EXIT_USAGE
     assert "/no/such/dir" in err
+
+
+def test_startup_imports_no_dataclasses_inspect_or_figures():
+    # Every command is a fresh process, so what importing the CLI loads is
+    # paid on each launch; modules the interpreter's own start-up loaded
+    # before the import do not count.
+    code = ("import sys; before = set(sys.modules); import redoku.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = os.path.dirname(os.path.dirname(redoku.cli.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True).stdout.split()
+    assert "redoku.cli" in loaded and "redoku.pipeline" in loaded
+    assert not {"dataclasses", "inspect", "redoku.figures"} & set(loaded)

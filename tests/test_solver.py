@@ -11,8 +11,8 @@ from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
 from redoku.pipeline import _level
 from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
-                           UNSATISFIABLE, SolverProblem, _checked_witness,
-                           _Engine, _swap_grid, find_witness, luby,
+                           UNSATISFIABLE, SolverProblem, _broken_regions,
+                           _checked_witness, _Engine, _swap_grid, find_witness, luby,
                            modification_witness, parse_puzzle_line, pin_equal,
                            read_corpus, restart_ladder, solve, solve_equal)
 
@@ -228,7 +228,10 @@ def test_modification_witness_families(board, monkeypatch):
 
 def test_checked_witness_rejects_both_faults(board):
     # A moved witness whose present region repeats a value, and a grid that
-    # satisfies every region, each fail the one scan.
+    # satisfies every region, each fail the check of their one scan.
+    def check(grid):
+        return _checked_witness(grid, record.cset, _broken_regions(grid))
+
     record = next(r for r in _level(3, 6)[0] if r.witness is not None
                   and r.catalog_match != r.cset.missing_labels())
     cid = record.cset.present_ids[0]
@@ -236,10 +239,10 @@ def test_checked_witness_rejects_both_faults(board):
     values = list(record.witness.values)
     values[b] = values[a]
     with pytest.raises(RuntimeError, match="violates a present constraint"):
-        _checked_witness(Grid(board, tuple(values)), record.cset)
-    assert _checked_witness(record.witness, record.cset) == record.witness
+        check(Grid(board, tuple(values)))
+    assert check(record.witness) == record.witness
     with pytest.raises(RuntimeError, match="is a fully valid grid"):
-        _checked_witness(_swap_grid(3, 0), record.cset)
+        check(_swap_grid(3, 0))
 
 
 def test_find_witness_rejects_full_model(board):
