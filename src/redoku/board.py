@@ -116,7 +116,6 @@ def _regions(n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _cell_regions(n: int) -> tuple[tuple[int, int, int], ...]:
     board = Board(n)
-    side = board.side
     out = []
     for cell in range(board.num_cells):
         r, c = board.cell_coords(cell)

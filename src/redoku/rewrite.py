@@ -33,13 +33,7 @@ def _chute_tables(n: int) -> tuple[tuple[Chute, int, int], ...]:
     out = []
     for ch in chutes(board):
         lines, boxes = chute_members(ch, board)
-        lmask = 0
-        for i in lines:
-            lmask |= 1 << i
-        bmask = 0
-        for i in boxes:
-            bmask |= 1 << i
-        out.append((ch, lmask, bmask))
+        out.append((ch, sum(1 << i for i in lines), sum(1 << i for i in boxes)))
     return tuple(out)
 
 

@@ -1,16 +1,16 @@
 # Binary-inequality view of constraint models: expanding big constraints to
-# deduplicated cell-pair inequalities, counting them, and probing whether an
-# individual pair can be dropped without weakening the model: a closure
-# certificate proves it can, a witness grid proves it cannot.
+# deduplicated cell-pair inequalities, counting them, and probing whether a
+# pair can be dropped without weakening the model: a closure certificate
+# proves it can, a witness grid from a value swap or a search that it cannot.
 
 import random
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .board import Board, ConstraintSet, Grid, region_cells
 from .rewrite import closure
-from .solver import SolverProblem, pin_equal, solve_equal
+from .solver import SolverProblem, pin_equal, solve_equal, value_swap
 from .symmetry import carry_from_root, pair_orbits
 
 CONFIRMED_NEEDED = "confirmed-needed"
@@ -90,25 +90,22 @@ def _decompose(board: Board, rest: frozenset):
 
 def _closed_rest(board: Board, base, pair):
     """Rest = `base` minus `pair`, _decompose'd, its whole regions closed
-    under the chute lemmas: ((closed bigs, pair, leftovers), certificate).
+    under the chute lemmas: (closed bigs, leftovers, certificate).
 
     The lemmas are entailments, so the closed Rest admits exactly Rest's
     grids.  A re-derived region holding both cells of the pair proves that
     Rest keeps them apart; the certificate is that region's label and the
     rendered closure trace up to its derivation, else None.
     """
-    pair = tuple(pair)
     if pair not in base:
         raise ValueError(f"probe pair {pair} is not in the base set")
-    bigs, extras = _decompose(board, frozenset(base - {pair}))
+    bigs, extras = _decompose(board, base - {pair})
     closed, trace = closure(bigs)
-    certificate = None
     for end, step in enumerate(trace, 1):
         if set(pair) <= set(region_cells(step.derived, board)):
-            certificate = (board.id_label(step.derived),
-                           tuple(s.render(board) for s in trace[:end]))
-            break
-    return (closed, pair, extras), certificate
+            return closed, extras, (board.id_label(step.derived),
+                                    tuple(s.render(board) for s in trace[:end]))
+    return closed, extras, None
 
 
 class ProbeRecord(NamedTuple):
@@ -120,9 +117,9 @@ class ProbeRecord(NamedTuple):
     nodes: int
     propagations: int
     seed_index: int | None = None
-    # SEARCH, CLOSURE, or "transported:" or "shared:" and "r1,c1-r2,c2"
-    # naming the pair whose record speaks for this one's orbit (see
-    # probe_minimality).
+    # SEARCH, CLOSURE, "swap:" and the grid index of solver.value_swap, or
+    # "transported:" or "shared:" and "r1,c1-r2,c2" naming the pair whose
+    # record speaks for this one's orbit (see probe_minimality).
     provenance: str = SEARCH
     # REDUNDANT only: (region label, rendered trace), see _closed_rest.
     certificate: tuple[str, tuple[str, ...]] | None = None
@@ -150,36 +147,43 @@ def _certified(pair, certificate) -> ProbeRecord:
                        certificate=certificate)
 
 
+def _needed(base, pair, witness: Grid, provenance: str) -> ProbeRecord:
+    # A swapped or moved witness must make exactly the probed pair equal.
+    values = witness.values
+    equal = [p for p in base if values[p[0]] == values[p[1]]]
+    if equal != [pair]:
+        raise RuntimeError(f"witness for pair {pair} ({provenance}) makes "
+                           f"pairs {equal[:3]} equal")
+    return ProbeRecord(pair, CONFIRMED_NEEDED, witness, 0, 0,
+                       provenance=provenance)
+
+
 DEFAULT_PROBE_BUDGET = 200_000
 
 
 def probe_pair(board: Board, base, pair, corpus=None,
-               budget: int = DEFAULT_PROBE_BUDGET, mates=()) -> ProbeRecord:
+               budget: int = DEFAULT_PROBE_BUDGET, orbit=()) -> ProbeRecord:
     """Test one pair of `base`: can the remaining pairs still force it apart?
 
     Builds Rest = base minus the pair and closes its whole regions under
     the chute lemmas (_closed_rest).  If a re-derived region holds both
     cells, Rest entails the pair: the verdict is `redundant`, after no
-    search, and the record carries the closure certificate.  Otherwise
-    solver.solve_equal searches the closed Rest, which admits the same
-    grids, for a grid with the pair's cells equal.  A solution proves Rest
-    admits a grid the full model rejects, so the pair is reported as
-    needed.  No solution within budget is inconclusive, and so is an
-    exhaustive refutation, which carries no certificate.
-
-    On the blank board the pinned pair (solver.pin_equal) races `mates`,
-    pairs whose probes a symmetry maps onto this one's, each Rest closed
-    as it joins, up a ladder of `budget` nodes; the record, with the
-    totals, is the confirmed pair's, else `pair`'s.  Givens break that
-    symmetry, so a `corpus` takes no mates: its puzzles race, unpinned,
+    search, and the record carries the closure certificate.  On the blank
+    board, a value swap (solver.value_swap) through the whole regions and
+    leftover pairs of Rest that makes the pair equal confirms it as needed,
+    after no search: tried on each pair of `orbit`, pairs whose probes a
+    symmetry maps onto this one's, else on the pair, and the record is the
+    first confirmed pair's.  Otherwise solver.solve_equal searches the
+    closed Rest, which admits the same grids; no grid within budget, or an
+    exhaustive refutation, which has no certificate, is inconclusive.  A
+    swap keeps no givens, so a `corpus` skips it: its puzzles race, unpinned,
     on equal shares of `budget`; `seed_index` names the one that solved.
     """
-    if corpus and mates:
-        raise ValueError("a corpus search takes no mates")
     if corpus and budget < len(corpus):
         raise ValueError(f"node budget {budget} is below the corpus size "
                          f"{len(corpus)}: every puzzle needs a node")
-    (bigs, pair, extras), certificate = _closed_rest(board, base, pair)
+    pair = tuple(pair)
+    bigs, extras, certificate = _closed_rest(board, base, pair)
     if certificate:
         return _certified(pair, certificate)
     if corpus:
@@ -187,12 +191,12 @@ def probe_pair(board: Board, base, pair, corpus=None,
                     for givens in corpus)
         budget //= len(corpus)
     else:
-        problems = chain([pin_equal(bigs, pair, extras)],
-                         (pin_equal(*_closed_rest(board, base, mate)[0])
-                          for mate in mates))
+        for mate in orbit or [pair]:
+            found = value_swap(*_decompose(board, base - {mate}), [mate])
+            if found:
+                return _needed(base, mate, found[1], f"swap:{found[0]}")
+        problems = [pin_equal(bigs, pair, extras)]
     outcome, index = solve_equal(problems, budget)
-    if outcome.is_solution and not corpus:
-        pair = (pair, *mates)[index]
     verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
     return ProbeRecord(pair, verdict, outcome.grid, outcome.stats.nodes,
                        outcome.stats.propagations, index if corpus else None)
@@ -206,11 +210,11 @@ def probe_minimality(board: Board, base, probes, corpus=None,
     symmetry fixing the model maps the probe of one pair onto the probe of
     its image, and the closure of its Rest onto the closure of the image's,
     so the requested pairs of one orbit share one probe: the first is
-    probed with the others as mates, and its record speaks for them all
-    (_share).  In a certified orbit every pair gets its own certificate.
-    Corpus givens break the symmetry, so with a corpus, as for a `base`
-    that is not a model expansion, every pair gets its own probe, raced
-    by the corpus puzzles instead of mates.
+    probed, its swaps tried on every pair of the orbit, root first, and its
+    record speaks for them all (_share).  In a certified orbit every pair
+    gets its own certificate.  Corpus givens break the symmetry, so with a
+    corpus, as for a `base` that is not a model expansion, every pair gets
+    its own probe.
     """
     base = frozenset(base)
     probes = [tuple(pair) for pair in probes]
@@ -224,7 +228,8 @@ def probe_minimality(board: Board, base, probes, corpus=None,
         # A pair outside `base` is its own root; probe_pair rejects it.
         members.setdefault(orbits.get(pair, (pair,))[0], []).append(pair)
     searched = {root: probe_pair(board, base, pairs[0], budget=budget,
-                                 mates=pairs[1:])
+                                 orbit=[p for p, step in orbits.items()
+                                        if step[0] == root])
                 for root, pairs in members.items()}
     return [_share(board, base, searched[orbits[pair][0]], orbits, pair)
             for pair in probes]
@@ -241,7 +246,7 @@ def _share(board: Board, base, source: ProbeRecord, orbits,
     if source.pair == pair:
         return source
     if source.verdict == REDUNDANT:
-        certificate = _closed_rest(board, base, pair)[1]
+        certificate = _closed_rest(board, base, pair)[2]
         if certificate is None:
             raise RuntimeError(f"closure certifies pair {source.pair} but "
                                f"not its orbit mate {pair}")
@@ -253,10 +258,4 @@ def _share(board: Board, base, source: ProbeRecord, orbits,
     to_source = carry_from_root(board, orbits, source.pair)
     to_pair = carry_from_root(board, orbits, pair)
     witness = to_pair.compose(to_source.inverse()).move(source.witness)
-    values = witness.values
-    equal = [p for p in base if values[p[0]] == values[p[1]]]
-    if equal != [pair]:
-        raise RuntimeError(f"witness moved from pair {source.pair} to {pair} "
-                           f"makes pairs {equal[:3]} equal")
-    return ProbeRecord(pair, CONFIRMED_NEEDED, witness,
-                       0, 0, provenance=f"transported:{r1},{c1}-{r2},{c2}")
+    return _needed(base, pair, witness, f"transported:{r1},{c1}-{r2},{c2}")

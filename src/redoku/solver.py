@@ -1,9 +1,10 @@
 # Propagation-based backtracking solver over constraint models.  Problems mix
 # big (all-different) constraints, extra binary inequalities, forced-equal cell
 # pairs, and given values; outcomes carry search statistics and are always
-# re-verified before being reported.  One equality search, solve_equal, races
-# a lazy list of problems up one staggered Luby restart ladder.  A cell pair
-# is (a, b), flat cells row-major from 0.
+# re-verified before being reported.  value_swap makes witnesses by Kempe
+# chain interchanges with no search; solve_equal races a lazy list of problems
+# up one staggered Luby restart ladder.  A cell pair is (a, b), flat cells
+# row-major from 0.
 
 import random
 from collections import namedtuple
@@ -119,14 +120,11 @@ class _Engine:
                 self.var_regions[v].append(ri)
         self.neighbors = [tuple(sorted(s)) for s in neighbors]
 
-        if value_order_seed is None:
-            self.value_orders = None
-        else:
-            rng = random.Random(value_order_seed)
-            base = list(range(side))
-            self.value_orders = []
+        self.value_orders = None
+        if value_order_seed is not None:
+            rng, self.value_orders = random.Random(value_order_seed), []
             for _ in range(self.nvars):
-                order = base[:]
+                order = list(range(side))
                 rng.shuffle(order)
                 self.value_orders.append(order)
 
@@ -304,52 +302,69 @@ def solve(problem: SolverProblem, budget: int = DEFAULT_NODE_BUDGET,
     return SolverOutcome(SOLUTION, grid, stats)
 
 
-# Grids tried by modification_witness, each built once per order: a cap,
-# not a proof that swaps always suffice.
+# Grids tried by value_swap, each built once per order: a cap, not a proof
+# that swaps always suffice.  A build that stops at SWAP_GRID_BUDGET nodes is
+# skipped; grids 0-127 take at most 248 nodes below order 5.
 SWAP_GRIDS = 128
+SWAP_GRID_BUDGET = 20_000
 
 
 @lru_cache(maxsize=None)
-def _swap_grid(n: int, index: int) -> Grid:
+def _swap_grid(n: int, index: int) -> Grid | None:
     # The full model's grid under the value order of restart_ladder's rung
     # index + 1: ascending first, then seed 0, 1, ...
-    return solve(SolverProblem(ConstraintSet.full(Board(n))),
-                 value_order_seed=index - 1 if index else None).grid
+    return solve(SolverProblem(ConstraintSet.full(Board(n))), SWAP_GRID_BUDGET,
+                 index - 1 if index else None).grid
 
 
-def modification_witness(cset: ConstraintSet) -> Grid | None:
-    """Witness by a value swap on a valid grid, with no search.
+def value_swap(bigs: ConstraintSet, extras=(), targets=None):
+    """The first value swap on a valid grid that makes a target cell pair
+    equal, as (grid index, grid), with no search; None if no grid has one.
 
-    For each of the first SWAP_GRIDS grids of _swap_grid and each value pair
-    a < b, the a-cell and the b-cell of every present region are joined into
-    chains.  Exchanging a and b on a chain keeps every present region
-    all-different (a Kempe chain interchange, Kempe 1879); an absent region
-    whose a-cell and b-cell lie on two chains breaks when its a-cell's chain
-    is swapped.  Returns the first such grid, in grid, value pair and
-    absent id order, or None.
+    For each of the first SWAP_GRIDS grids and each value pair a < b, the
+    a- and b-cells are joined into chains through every region of `bigs`
+    and pair of `extras`.  Exchanging a and b on a chain keeps those apart
+    (a Kempe chain interchange, Kempe 1879), and a target (x, y) holding a
+    and b on two chains becomes equal when x's chain is swapped.  Targets
+    default to each absent region's a-cell and b-cell.  Tried in grid,
+    value pair and target order.
     """
-    board = cset.board
-    if cset.is_full():
-        raise ValueError("witness search needs a model with absent constraints")
+    board = bigs.board
+    present, absent = bigs.present_ids, bigs.missing_ids
     for index in range(SWAP_GRIDS):
-        values = list(_swap_grid(board.n, index).values)
+        grid = _swap_grid(board.n, index)
+        if grid is None:
+            continue
+        values = list(grid.values)
         home = [{values[cell]: cell for cell in cells}
                 for cells in board.region_cells_all]
         for a, b in combinations(range(1, board.side + 1), 2):
-            chain = {c: [c] for c, v in enumerate(values) if v in (a, b)}
-            for cid in cset.present_ids:
-                kept, joined = chain[home[cid][a]], chain[home[cid][b]]
+            ab = {a, b}
+            ends = ([(home[cid][a], home[cid][b]) for cid in absent]
+                    if targets is None else
+                    [(x, y) for x, y in targets if {values[x], values[y]} == ab])
+            if not ends:
+                continue
+            chain = {c: [c] for c, v in enumerate(values) if v in ab}
+            for x, y in [(home[cid][a], home[cid][b]) for cid in present] + [
+                    (x, y) for x, y in extras if {values[x], values[y]} == ab]:
+                kept, joined = chain[x], chain[y]
                 if kept is not joined:
                     kept.extend(joined)
                     chain.update((cell, kept) for cell in joined)
-            for cid in cset.missing_ids:
-                swapped = chain[home[cid][a]]
-                if swapped is not chain[home[cid][b]]:
-                    for cell in swapped:
+            for x, y in ends:
+                if chain[x] is not chain[y]:
+                    for cell in chain[x]:
                         values[cell] = a + b - values[cell]
-                    grid = Grid(board, tuple(values))
-                    return _checked_witness(grid, cset, _broken_regions(grid))
+                    return index, Grid(board, tuple(values))
     return None
+
+
+def modification_witness(cset: ConstraintSet) -> Grid | None:
+    """Witness by a value swap (value_swap) that breaks an absent region
+    and keeps the present ones, with no search; None if no grid has one."""
+    grid = (value_swap(cset) or (None, None))[1]
+    return grid and _checked_witness(grid, cset, _broken_regions(grid))
 
 
 def _broken_regions(grid: Grid) -> frozenset[int]:
@@ -410,13 +425,10 @@ def solve_equal(problems, budget: int):
     Each climbs restart_ladder(budget), so `budget` >= 1 bounds the nodes
     of each, and the first solution wins.  Alternative j joins at step
     j + 1, and each step runs the next rung of every alternative joined,
-    oldest first: each climbs a prefix of its own ladder, so none ends
-    worse than its own search would.  A rung proving its problem
-    unsatisfiable retires it, since a complete search under any value
-    order proves the same.
-
-    Returns (outcome summing every attempt's stats, UNSATISFIABLE only if
-    every alternative was refuted; the solving alternative's index or None).
+    oldest first.  A rung proving its problem unsatisfiable retires it, as
+    a complete search under any value order would.  Returns (outcome
+    summing every attempt's stats, UNSATISFIABLE only if every alternative
+    was refuted; the solving alternative's index or None).
     """
     if budget < 1:
         raise ValueError(f"node budget must be positive, got {budget}")
@@ -444,17 +456,12 @@ def solve_equal(problems, budget: int):
 
 
 def find_witness(cset: ConstraintSet) -> Grid | None:
-    """Look for a complete grid proving the model is not equivalent to the
-    full model: it satisfies every present constraint and violates at least
-    one absent constraint.
-
-    The pipeline calls it only for catalog entries; classes take an entry's
-    witness moved by a symmetry.  Models whose derivation closure reaches
-    the full set are entailed, so no witness can exist; they short-circuit
-    to None.  Otherwise the witness is a value swap on one of a fixed
-    sequence of valid grids (modification_witness), with no search.
-    Returns None when no grid splits the model; that outcome carries no
-    proof either way.
+    """A complete grid proving the model is not equivalent to the full
+    model: it satisfies every present constraint and violates an absent
+    one.  The pipeline calls it only for catalog entries.  A model whose
+    closure reaches the full set is entailed and gets None; otherwise the
+    witness is a value swap (modification_witness), or None, which proves
+    nothing, when no grid splits the model.
     """
     board = cset.board
     if cset.is_full():

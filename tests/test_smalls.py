@@ -6,11 +6,13 @@ import pytest
 import redoku.smalls
 import redoku.solver
 from redoku.board import ConstraintSet, parse_missing, region_cells
-from redoku.smalls import (CLOSURE, CONFIRMED_NEEDED, DEFAULT_PROBE_BUDGET,
-                           INCONCLUSIVE, REDUNDANT, SEARCH, _decompose,
-                           expand_small, pair_cells, probe_minimality,
-                           probe_pair, sample_probes, small_count_range)
-from redoku.solver import LUBY_UNIT, read_corpus, restart_ladder
+from redoku.pipeline import SUDOKU, _level
+from redoku.smalls import (CLOSURE, CONFIRMED_NEEDED, INCONCLUSIVE, REDUNDANT,
+                           SEARCH, _decompose, expand_small, pair_cells,
+                           probe_minimality, probe_pair, sample_probes,
+                           small_count_range)
+from redoku.solver import (BUDGET, LUBY_UNIT, SolverOutcome, SolveStats,
+                           read_corpus)
 from redoku.symmetry import pair_orbits
 
 MODEL = "R2,R5,R8,C2,C5,C8"
@@ -145,14 +147,6 @@ def test_probe_pair_rejects_a_budget_below_the_corpus_size(board,
     assert record.nodes <= 6
 
 
-def test_probe_pair_rejects_a_corpus_with_mates(board, corpus_path):
-    # Givens break the symmetry that lets alternatives share one search.
-    puzzles, _ = read_corpus(corpus_path, board)
-    base = expand_small(parse_missing(board, MODEL))
-    with pytest.raises(ValueError, match="corpus search takes no mates"):
-        probe_pair(board, base, (0, 1), corpus=puzzles, mates=[(0, 2)])
-
-
 def test_full_base_probe_fixture(board):
     # Dropping one box-only pair from the complete pair set demotes B4,
     # and the rows of its chute with the other two boxes re-derive it
@@ -191,18 +185,19 @@ def test_unseeded_probe_stays_within_small_budget(board):
     assert 0 < record.nodes <= 2_000
 
 
-def test_probe_sweep_has_no_heavy_tail(board):
-    # Every orbit of the model's pairs holds a pair that finishes in a few
-    # dozen nodes, yet one long ascending rung once spent 154,774 nodes on
-    # the 11 searches of this sweep, searching the pairs of an orbit one
+def test_probe_sweep_has_no_heavy_tail(board, monkeypatch):
+    # With no swap grid, each orbit of the model's pairs falls back to one
+    # search of its root.  One long ascending rung once spent 154,774 nodes
+    # on the 11 searches of this sweep, searching the pairs of an orbit one
     # after another 6,421, and searching the unclosed rests 5,780.  Node
     # counts are deterministic.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     base = expand_small(parse_missing(board, MODEL))
     records = probe_minimality(board, base, sorted(base))
     assert sum(r.verdict == CONFIRMED_NEEDED for r in records) == 648
     searched = [r for r in records if r.provenance == SEARCH]
     assert len(searched) == 11
-    assert sum(r.nodes for r in searched) <= 1_207
+    assert sum(r.nodes for r in searched) <= 1_087
 
 
 def replay_certificate(board, base, data):
@@ -266,11 +261,13 @@ def test_exhaustive_unsat_ends_the_probe(board2, monkeypatch):
     # holds under any value order, so the probe stops after one solve
     # instead of climbing the restart ladder; with no certificate the
     # verdict stays inconclusive.
+    # Swap grids, built through solve too, pin no equality.
     calls = []
     real = redoku.solver.solve
-    def solve(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def solve(problem, *args, **kwargs):
+        if problem.equalities:
+            calls.append(problem)
+        return real(problem, *args, **kwargs)
     monkeypatch.setattr(redoku.solver, "solve", solve)
     base = expand_small(parse_missing(board2, "B1,B2,B3,B4"))
     record = probe_pair(board2, base, (4, 5))
@@ -304,14 +301,15 @@ def counting_probes(monkeypatch):
 
 def recording_solves(monkeypatch):
     """Record (pair, value-order seed, node limit, nodes, propagations) of
-    every equality solve, in call order."""
+    every equality solve, in call order; swap grid builds pin no pair."""
     calls = []
     real = redoku.solver.solve
     def solve(problem, budget, value_order_seed=None):
         outcome = real(problem, budget=budget,
                        value_order_seed=value_order_seed)
-        calls.append((problem.equalities[0], value_order_seed, budget,
-                      outcome.stats.nodes, outcome.stats.propagations))
+        if problem.equalities:
+            calls.append((problem.equalities[0], value_order_seed, budget,
+                          outcome.stats.nodes, outcome.stats.propagations))
         return outcome
     monkeypatch.setattr(redoku.solver, "solve", solve)
     return calls
@@ -327,6 +325,9 @@ def requested_by_orbit(orbits, probes):
 
 def test_probe_minimality_transports_the_confirmed_witness(board,
                                                            monkeypatch):
+    # The search fallback, with no swap grid: a swapped witness takes the
+    # same transport (test_probe_draw_is_confirmed_by_swaps).
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     probes = sample_probes(base, 24, seed=1)
@@ -360,23 +361,26 @@ def test_probe_minimality_transports_the_confirmed_witness(board,
 
 
 def test_probe_minimality_shares_an_unconfirmed_search(board, monkeypatch):
-    # At a budget of 10 no pair is confirmed, so every requested pair
-    # climbs its whole ladder, one rung of 10 nodes, and the orbit's first
-    # pair holds the totals of the search.
+    # With no swap grid and a budget of 10 no pair is confirmed: the
+    # orbit's first requested pair alone climbs its whole ladder, one rung
+    # of 10 nodes, and holds the totals of the search.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     probes = sample_probes(base, 24, seed=5)
     orbits = pair_orbits(cset, base)
+    members = requested_by_orbit(orbits, probes)
     calls = recording_solves(monkeypatch)
     records = probe_minimality(board, base, probes, budget=10)
-    assert sorted(c[:3] for c in calls) == [(p, None, 10) for p in probes]
+    assert sorted(c[:3] for c in calls) == sorted(
+        (pairs[0], None, 10) for pairs in members.values())
     by_pair = {r.pair: r for r in records}
     assert [r.pair for r in records] == probes
-    for root, pairs in requested_by_orbit(orbits, probes).items():
+    for root, pairs in members.items():
         first = by_pair[pairs[0]]
         assert first.provenance == SEARCH and first.verdict == INCONCLUSIVE
-        assert first.nodes == sum(c[3] for c in calls if c[0] in pairs)
-        assert 0 < first.nodes <= 10 * len(pairs)
+        assert first.nodes == sum(c[3] for c in calls if c[0] == pairs[0])
+        assert 0 < first.nodes <= 10
         (r1, c1), (r2, c2) = pair_cells(board, pairs[0])
         for pair in pairs[1:]:
             record = by_pair[pair]
@@ -385,61 +389,19 @@ def test_probe_minimality_shares_an_unconfirmed_search(board, monkeypatch):
             assert (record.nodes, record.propagations) == (0, 0)
 
 
-def test_shared_ladders_are_no_worse_than_own_searches(board):
-    # At a budget where many pairs fail alone, the pairs of one orbit
-    # climbing their ladders together confirm more, and no pair that its
-    # own search confirms is left inconclusive.  (On the unclosed rests the
-    # counts were 56 and 12.)
-    base = expand_small(parse_missing(board, MODEL))
-    probes = sample_probes(base, 64, seed=1542757380)
-    shared = probe_minimality(board, base, probes, budget=50)
-    alone = [probe_pair(board, base, pair, budget=50) for pair in probes]
-    assert [r.pair for r in shared] == probes
-    for together, own in zip(shared, alone):
-        if own.verdict == CONFIRMED_NEEDED:
-            assert together.verdict == CONFIRMED_NEEDED
-    confirmed = Counter(r.verdict for r in shared)[CONFIRMED_NEEDED]
-    assert (confirmed, Counter(r.verdict for r in alone)[CONFIRMED_NEEDED]) \
-        == (64, 52)
-
-
-def test_shared_ladder_staggers_each_pairs_rungs(board, monkeypatch):
-    # Each requested pair climbs a prefix of its own restart ladder, and
-    # the j-th pair of an orbit runs its r-th rung at step j + r - 1,
-    # after every older pair's rung of that step.
-    cset = parse_missing(board, MODEL)
-    base = expand_small(cset)
-    probes = sample_probes(base, 64, seed=1542757380)
-    orbits = pair_orbits(cset, base)
-    calls = recording_solves(monkeypatch)
-    probe_minimality(board, base, probes)
-    ladder = restart_ladder(DEFAULT_PROBE_BUDGET)
-    joined = 0
-    for root, pairs in requested_by_orbit(orbits, probes).items():
-        spent = [c for c in calls if orbits[c[0]][0] == root]
-        rungs = Counter()
-        order = []
-        for pair, seed, limit, _, _ in spent:
-            j = pairs.index(pair) + 1
-            rungs[pair] += 1
-            assert (seed, limit) == ladder[rungs[pair] - 1]
-            order.append((j + rungs[pair] - 1, j))
-        assert order == sorted(set(order))
-        joined += len(rungs) - 1
-    assert joined > 0
-
-
-def test_probe_draw_spends_few_nodes(board, corpus_path):
-    # The benchmark's 64-pair draw: one search per orbit, and the pairs of
-    # an orbit share their rungs, so no heavy first pair sets its cost.
-    # The closed rests cut the draw from 3,030 nodes to 1,016.
+def test_probe_draw_spends_few_nodes(board, corpus_path, monkeypatch):
+    # The benchmark's 64-pair draw with no swap grid: one search per orbit,
+    # of its first requested pair.  The closed rests cut the draw from
+    # 3,030 nodes to 1,016 when the orbit's requested pairs raced; alone,
+    # the first pairs spend 1,028.
+    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     base = expand_small(parse_missing(board, MODEL))
     probes = sample_probes(base, 64, seed=1542757380)
     records = probe_minimality(board, base, probes)
     assert all(r.verdict == CONFIRMED_NEEDED for r in records)
     searched = [r for r in records if r.provenance == SEARCH]
     assert len(searched) == 11
-    assert sum(r.nodes for r in searched) <= 1_016
+    assert sum(r.nodes for r in searched) <= 1_028
     # Seeded from the corpus, every pair is searched, its puzzles racing up
     # the restart ladder.  One ascending solve per puzzle spent 38,988
     # nodes here, 33,358 of them on one pair.
@@ -450,6 +412,61 @@ def test_probe_draw_spends_few_nodes(board, corpus_path):
     for r in records:
         givens = puzzles[r.seed_index].values
         assert all(g in (0, v) for g, v in zip(givens, r.witness.values))
+
+
+def test_probe_draw_is_confirmed_by_swaps(board):
+    # The benchmark's draw spends no solver node: each orbit is confirmed by
+    # a value swap on one of its pairs, and the witness moved onto each
+    # requested pair makes exactly that pair of the model equal.
+    base = expand_small(parse_missing(board, MODEL))
+    probes = sample_probes(base, 64, seed=1542757380)
+    records = probe_minimality(board, base, probes)
+    assert [r.pair for r in records] == probes
+    for record in records:
+        assert record.verdict == CONFIRMED_NEEDED
+        assert (record.nodes, record.propagations) == (0, 0)
+        assert record.provenance.startswith(("swap:", "transported:"))
+        assert equal_model_pairs(board, MODEL, record.witness) == [
+            record.pair]
+
+
+def split_by_orbit_root(board, classes, monkeypatch):
+    """Pairs of the classes' expansions by what decides their orbit's root
+    probe: the closure, a value swap, or neither (a search, stubbed to stop
+    at once); and the number of classes with undecided pairs."""
+    def solve_equal(problems, budget):
+        return SolverOutcome(BUDGET, None, SolveStats(0, 0)), None
+    monkeypatch.setattr(redoku.smalls, "solve_equal", solve_equal)
+    split, undecided = Counter(), set()
+    for cset in classes:
+        base = expand_small(cset)
+        orbits = {}
+        for pair, (root, _, _) in pair_orbits(cset, base).items():
+            orbits.setdefault(root, []).append(pair)
+        for root, orbit in orbits.items():
+            record = probe_pair(board, base, root, orbit=orbit)
+            kind = record.provenance.split(":")[0]
+            split[kind] += len(orbit)
+            if kind == SEARCH:
+                assert record.verdict == INCONCLUSIVE
+                undecided.add(cset)
+    return dict(split), len(undecided)
+
+
+@pytest.mark.parametrize("n, k, split, undecided", [
+    (2, 4, {CLOSURE: 19, "swap": 319, SEARCH: 1}, 1),
+    (3, 6, {CLOSURE: 1_026, "swap": 25_215, SEARCH: 57}, 14)])
+def test_closure_and_swaps_leave_only_counted_pairs(n, k, split, undecided,
+                                                    monkeypatch):
+    # Over the Sudoku classes of the last Sudoku level, the closure and
+    # orbit-wide swaps decide every pair but those that only counting
+    # decides (57 pairs in 14 classes at order 3), so no needed pair
+    # reaches the search.
+    classes = [r.cset for r in _level(n, k)[0] if r.verdict == SUDOKU]
+    assert len(classes) == {2: 8, 3: 39}[n]
+    board = classes[0].board
+    assert split_by_orbit_root(board, classes, monkeypatch) == (split,
+                                                                undecided)
 
 
 def test_probe_minimality_with_corpus_searches_every_pair(board, corpus_path):
@@ -473,8 +490,9 @@ def test_probe_minimality_of_a_pair_subset_searches_every_pair(board,
     sample = frozenset(sample_probes(base, 20, seed=2))
     searched = counting_probes(monkeypatch)
     records = probe_minimality(board, sample, sorted(sample))
-    assert searched == sorted(sample)
-    assert all(r.provenance == SEARCH for r in records)
+    assert searched == [r.pair for r in records] == sorted(sample)
+    assert all(r.provenance == SEARCH or r.provenance.startswith("swap:")
+               for r in records)
 
 
 def test_probe_minimality_rejects_foreign_pair(board):
@@ -499,7 +517,10 @@ def test_probe_record_json_shape(board):
     assert set(data) == {"pair", "verdict", "witness", "nodes",
                          "propagations", "seed_index", "provenance",
                          "certificate"}
-    assert data["provenance"] == "search"
+    # This pair's own first swap is on grid 2; through probe_minimality it
+    # would take its orbit root's swap on grid 0, transported.
+    assert data["provenance"] == "swap:2"
+    assert (data["nodes"], data["propagations"]) == (0, 0)
     assert data["certificate"] is None
     assert isinstance(data["pair"], list) and len(data["pair"]) == 2
     if data["witness"] is not None:

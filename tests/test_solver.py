@@ -11,10 +11,12 @@ from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
 from redoku.pipeline import _level
 from redoku.smalls import INCONCLUSIVE, _decompose, expand_small, probe_pair
 from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
-                           UNSATISFIABLE, SolverProblem, _broken_regions,
-                           _checked_witness, _Engine, _swap_grid, find_witness, luby,
-                           modification_witness, parse_puzzle_line, pin_equal,
-                           read_corpus, restart_ladder, solve, solve_equal)
+                           SWAP_GRID_BUDGET, UNSATISFIABLE, SolverOutcome,
+                           SolverProblem, SolveStats, _broken_regions,
+                           _checked_witness, _Engine, _swap_grid, find_witness,
+                           luby, modification_witness, parse_puzzle_line,
+                           pin_equal, read_corpus, restart_ladder, solve,
+                           solve_equal, value_swap)
 
 
 def test_full_board_solves(board):
@@ -224,6 +226,38 @@ def test_modification_witness_families(board, monkeypatch):
         assert verify_grid(grid, cset) == frozenset()
         violated = verify_grid(grid, ConstraintSet.full(board))
         assert violated and violated <= set(cset.missing_ids)
+
+
+def test_swap_grid_past_its_budget_is_skipped(board, monkeypatch):
+    # Two order-5 value orders stall past the grid budget.  A grid build
+    # stopped there leaves no grid, and swaps, witness or probe, go on to
+    # the next grid instead of failing on the missing one.  Here grid 0,
+    # which splits R1,C1,B1 and confirms pair (1,2)-(1,5), stops.
+    cset = parse_missing(board, "R1,C1,B1")
+    base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
+    assert value_swap(cset)[0] == 0
+    assert probe_pair(board, base, (1, 4)).provenance == "swap:0"
+    builds = []
+    real = redoku.solver.solve
+
+    def solve(problem, budget=DEFAULT_NODE_BUDGET, value_order_seed=None):
+        if not problem.equalities:
+            builds.append(budget)
+            if value_order_seed is None:
+                return SolverOutcome(BUDGET, None, SolveStats(budget, 0))
+        return real(problem, budget, value_order_seed)
+    monkeypatch.setattr(redoku.solver, "solve", solve)
+    _swap_grid.cache_clear()
+    try:
+        assert _swap_grid(3, 0) is None
+        index, grid = value_swap(cset)
+        assert index > 0 and grid == modification_witness(cset)
+        record = probe_pair(board, base, (1, 4))
+        assert record.provenance.startswith("swap:")
+        assert record.provenance != "swap:0" and record.nodes == 0
+        assert builds and set(builds) == {SWAP_GRID_BUDGET}
+    finally:
+        _swap_grid.cache_clear()
 
 
 def test_checked_witness_rejects_both_faults(board):
