@@ -171,9 +171,10 @@ def probe_pair(board: Board, base, pair, corpus=None,
     search, and the record carries the closure certificate.  On the blank
     board, a value swap (solver.value_swap) through the whole regions and
     leftover pairs of Rest that makes the pair equal confirms it as needed,
-    after no search: tried on each pair of `orbit`, pairs whose probes a
-    symmetry maps onto this one's, else on the pair, and the record is the
-    first confirmed pair's.  Otherwise solver.solve_equal searches the
+    after no search: tried grid-major over the pairs of `orbit`, pairs
+    whose probes a symmetry maps onto this one's, else on the pair, each
+    pair's Rest split only when its turn first comes, and the record is
+    the confirmed pair's.  Otherwise solver.solve_equal searches the
     closed Rest, which admits the same grids; no grid within budget, or an
     exhaustive refutation, which has no certificate, is inconclusive.  A
     swap keeps no givens, so a `corpus` skips it: its puzzles race, unpinned,
@@ -191,10 +192,12 @@ def probe_pair(board: Board, base, pair, corpus=None,
                     for givens in corpus)
         budget //= len(corpus)
     else:
-        for mate in orbit or [pair]:
-            found = value_swap(*_decompose(board, base - {mate}), [mate])
-            if found:
-                return _needed(base, mate, found[1], f"swap:{found[0]}")
+        mates = orbit or [pair]
+        found = value_swap((*_decompose(board, base - {mate}), [mate])
+                           for mate in mates)
+        if found:
+            index, k, grid = found
+            return _needed(base, mates[k], grid, f"swap:{index}")
         problems = [pin_equal(bigs, pair, extras)]
     outcome, index = solve_equal(problems, budget)
     verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
@@ -210,11 +213,11 @@ def probe_minimality(board: Board, base, probes, corpus=None,
     symmetry fixing the model maps the probe of one pair onto the probe of
     its image, and the closure of its Rest onto the closure of the image's,
     so the requested pairs of one orbit share one probe: the first is
-    probed, its swaps tried on every pair of the orbit, root first, and its
-    record speaks for them all (_share).  In a certified orbit every pair
-    gets its own certificate.  Corpus givens break the symmetry, so with a
-    corpus, as for a `base` that is not a model expansion, every pair gets
-    its own probe.
+    probed, its swaps tried grid-major over the pairs of the orbit, root
+    first, and its record speaks for them all (_share).  In a certified
+    orbit every pair gets its own certificate.  Corpus givens break the
+    symmetry, so with a corpus, as for a `base` that is not a model
+    expansion, every pair gets its own probe.
     """
     base = frozenset(base)
     probes = [tuple(pair) for pair in probes]

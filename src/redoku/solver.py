@@ -61,8 +61,7 @@ class _Engine:
 
     def __init__(self, problem: SolverProblem, value_order_seed: int | None = None):
         board = problem.board
-        side = board.side
-        ncells = board.num_cells
+        side, ncells = board.side, board.num_cells
 
         # Union-find over cells; forced-equal cells share one variable whose
         # root is the smallest member index (keeps ordering deterministic).
@@ -81,9 +80,7 @@ class _Engine:
                     a, b = b, a
                 parent[b] = a
 
-        self.board = board
-        self.problem = problem
-        self.side = side
+        self.board, self.problem, self.side = board, problem, side
         self.cls_of = [find(c) for c in range(ncells)]
         roots = sorted(set(self.cls_of))
         index_of = {root: i for i, root in enumerate(roots)}
@@ -128,12 +125,9 @@ class _Engine:
                 rng.shuffle(order)
                 self.value_orders.append(order)
 
-        full = (1 << side) - 1
-        self.dom = [full] * self.nvars
+        self.dom = [(1 << side) - 1] * self.nvars
         self.nassigned = 0
-        self.trail = []
-        self.queue = []
-        self.dirty = set()
+        self.trail, self.queue, self.dirty = [], [], set()
         self.nodes = 0
         self.propagations = 0
 
@@ -166,8 +160,7 @@ class _Engine:
         return True
 
     def _undo(self, mark: int) -> None:
-        trail = self.trail
-        dom = self.dom
+        trail, dom = self.trail, self.dom
         while len(trail) > mark:
             var, old = trail.pop()
             new = dom[var]
@@ -228,10 +221,8 @@ class _Engine:
             return SOLUTION
         var = self.pick_var()
         dom = self.dom[var]
-        if self.value_orders is None:
-            positions = range(self.side)
-        else:
-            positions = self.value_orders[var]
+        positions = (range(self.side) if self.value_orders is None
+                     else self.value_orders[var])
         for bit_pos in positions:
             bit = 1 << bit_pos
             if not dom & bit:
@@ -249,11 +240,8 @@ class _Engine:
         return UNSATISFIABLE
 
     def extract_grid(self) -> Grid:
-        values = []
-        for cell in range(self.board.num_cells):
-            d = self.dom[self.var_of[cell]]
-            values.append(d.bit_length())
-        return Grid(self.board, tuple(values))
+        return Grid(self.board,
+                    tuple(self.dom[var].bit_length() for var in self.var_of))
 
 
 def _check_solution(problem: SolverProblem, grid: Grid) -> None:
@@ -317,20 +305,24 @@ def _swap_grid(n: int, index: int) -> Grid | None:
                  index - 1 if index else None).grid
 
 
-def value_swap(bigs: ConstraintSet, extras=(), targets=None):
+def value_swap(alternatives):
     """The first value swap on a valid grid that makes a target cell pair
-    equal, as (grid index, grid), with no search; None if no grid has one.
+    equal, as (grid index, alternative index, grid), with no search; None if
+    no grid has one.
 
-    For each of the first SWAP_GRIDS grids and each value pair a < b, the
-    a- and b-cells are joined into chains through every region of `bigs`
-    and pair of `extras`.  Exchanging a and b on a chain keeps those apart
-    (a Kempe chain interchange, Kempe 1879), and a target (x, y) holding a
-    and b on two chains becomes equal when x's chain is swapped.  Targets
-    default to each absent region's a-cell and b-cell.  Tried in grid,
-    value pair and target order.
+    Alternatives are (bigs, extras, targets), taken lazily.  On each of the
+    first SWAP_GRIDS grids and for each value pair a < b, the a- and b-cells
+    are joined into chains through every region of bigs and pair of extras.
+    Exchanging a and b on a chain keeps those apart (a Kempe chain
+    interchange, Kempe 1879), and a target (x, y) holding a and b on two
+    chains becomes equal when x's chain is swapped; targets None stand for
+    each absent region's a-cell and b-cell.  Tried grid-major: on each grid
+    by alternative, the next taken when those before fail, then by value
+    pair and target.
     """
-    board = bigs.board
-    present, absent = bigs.present_ids, bigs.missing_ids
+    pending = iter(alternatives)
+    taken = list(islice(pending, 1))
+    board = taken[0][0].board
     for index in range(SWAP_GRIDS):
         grid = _swap_grid(board.n, index)
         if grid is None:
@@ -338,32 +330,37 @@ def value_swap(bigs: ConstraintSet, extras=(), targets=None):
         values = list(grid.values)
         home = [{values[cell]: cell for cell in cells}
                 for cells in board.region_cells_all]
-        for a, b in combinations(range(1, board.side + 1), 2):
-            ab = {a, b}
-            ends = ([(home[cid][a], home[cid][b]) for cid in absent]
-                    if targets is None else
-                    [(x, y) for x, y in targets if {values[x], values[y]} == ab])
-            if not ends:
-                continue
-            chain = {c: [c] for c, v in enumerate(values) if v in ab}
-            for x, y in [(home[cid][a], home[cid][b]) for cid in present] + [
-                    (x, y) for x, y in extras if {values[x], values[y]} == ab]:
-                kept, joined = chain[x], chain[y]
-                if kept is not joined:
-                    kept.extend(joined)
-                    chain.update((cell, kept) for cell in joined)
-            for x, y in ends:
-                if chain[x] is not chain[y]:
-                    for cell in chain[x]:
-                        values[cell] = a + b - values[cell]
-                    return index, Grid(board, tuple(values))
+        for k, (bigs, extras, targets) in enumerate(taken):
+            present, absent = bigs.present_ids, bigs.missing_ids
+            for a, b in combinations(range(1, board.side + 1), 2):
+                ab = {a, b}
+                ends = ([(home[cid][a], home[cid][b]) for cid in absent]
+                        if targets is None else [(x, y) for x, y in targets
+                                                 if {values[x], values[y]} == ab])
+                if not ends:
+                    continue
+                chain = {c: [c] for c, v in enumerate(values) if v in ab}
+                links = [(home[cid][a], home[cid][b]) for cid in present]
+                for x, y in links + [(x, y) for x, y in extras
+                                     if {values[x], values[y]} == ab]:
+                    kept, joined = chain[x], chain[y]
+                    if kept is not joined:
+                        kept.extend(joined)
+                        chain.update((cell, kept) for cell in joined)
+                for x, y in ends:
+                    if chain[x] is not chain[y]:
+                        for cell in chain[x]:
+                            values[cell] = a + b - values[cell]
+                        return index, k, Grid(board, tuple(values))
+            if k + 1 == len(taken):
+                taken += islice(pending, 1)  # enumerate goes on to it
     return None
 
 
 def modification_witness(cset: ConstraintSet) -> Grid | None:
     """Witness by a value swap (value_swap) that breaks an absent region
     and keeps the present ones, with no search; None if no grid has one."""
-    grid = (value_swap(cset) or (None, None))[1]
+    grid = (value_swap([(cset, (), None)]) or (None, None, None))[2]
     return grid and _checked_witness(grid, cset, _broken_regions(grid))
 
 

@@ -7,7 +7,7 @@
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby, permutations, product
+from itertools import groupby, permutations, product
 from math import comb, factorial, prod
 from operator import ge, itemgetter, or_
 
@@ -102,22 +102,6 @@ def _line_swaps(board: Board, pairs, columns: bool = False) -> Symmetry:
     return Symmetry(board, False, tuple(lines), ident)
 
 
-def generators(board: Board) -> tuple[Symmetry, ...]:
-    """A generating set: transpose, adjacent band and stack swaps, and
-    adjacent line swaps inside each band and stack."""
-    n, side = board.n, board.side
-    ident = tuple(range(side))
-    gens = [Symmetry(board, True, ident, ident)]
-    for k in range(n - 1):
-        chutes = [(k * n + off, k * n + n + off) for off in range(n)]
-        gens += [_line_swaps(board, chutes), _line_swaps(board, chutes, True)]
-    for line in range(side - 1):
-        if line % n != n - 1:
-            gens += [_line_swaps(board, [(line, line + 1)]),
-                     _line_swaps(board, [(line, line + 1)], True)]
-    return tuple(gens)
-
-
 # --- completions: stabilizers and carriers ---------------------------------
 
 
@@ -183,27 +167,40 @@ def carrier(entry: ConstraintSet, cset: ConstraintSet) -> Symmetry | None:
 
 
 def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
-    """Generators of the symmetries that map the model onto itself.
+    """A generating set of the symmetries that map the model onto itself.
 
     Each coarse element (transpose, band and stack permutations) whose image
     of the model has the model's boxes and its count of present lines per
-    band and stack gives one completion onto the model itself.  The
-    transpositions of two lines of one band or stack that are both present
-    or both absent are added.  Any symmetry fixing the model, followed by
-    the inverse of the completion of its coarse element, permutes lines
-    inside bands and stacks and fixes the model, so it is a product of those
-    transpositions: the generators reach the whole stabilizer without
-    enumerating it.
+    band and stack gives one completion onto the model itself, kept if its
+    coarse part, known by its box permutation, is not yet generated.  The
+    transpositions of neighbouring lines of one band or stack, both present
+    or both absent, are added.  Any symmetry fixing the model, followed by
+    the inverse of the kept completions' product with its coarse part,
+    permutes lines inside bands and stacks and fixes the model, so it is a
+    product of those transpositions: the generators reach the whole
+    stabilizer without enumerating it.
     """
     board, mask = cset.board, cset.mask
     n, side = board.n, board.side
-    gens = list(_completions(board, mask, mask))
-    for columns in (False, True):
-        offset = side if columns else 0
+    gens, reached = [], {tuple(range(2 * side, 3 * side))}
+    for g in _completions(board, mask, mask):
+        if g.labels[2 * side:] not in reached:
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                boxes = frontier.pop()
+                for h in gens:
+                    image = tuple(map(h.labels.__getitem__, boxes))
+                    if image not in reached:
+                        reached.add(image)
+                        frontier.append(image)
+    for at, columns in ((0, False), (side, True)):
         for chute in range(0, side, n):
-            for a, b in combinations(range(chute, chute + n), 2):
-                if not (mask >> offset + a ^ mask >> offset + b) & 1:
-                    gens.append(_line_swaps(board, [(a, b)], columns))
+            lines = sorted(range(chute, chute + n),
+                           key=lambda i: mask >> at + i & 1)
+            gens += [_line_swaps(board, [(a, b)], columns)
+                     for a, b in zip(lines, lines[1:])
+                     if not (mask >> at + a ^ mask >> at + b) & 1]
     return tuple(gens)
 
 
@@ -215,7 +212,7 @@ def pair_orbits(cset: ConstraintSet, pairs) -> dict:
     Returns, for each pair, (root, g, previous): root is the smallest pair
     of its orbit, and the generator g carries the pair `previous`, one step
     nearer the root, onto it; the root has (root, None, None).  A
-    breadth-first search over the generators builds each orbit;
+    breadth-first search over stabilizer_generators builds each orbit;
     carry_from_root composes the steps.
     """
     gens = stabilizer_generators(cset)
@@ -240,14 +237,15 @@ def pair_orbits(cset: ConstraintSet, pairs) -> dict:
 
 def carry_from_root(board: Board, orbits: dict, pair) -> Symmetry:
     """The symmetry of the stabilizer carrying the root of pair's orbit
-    onto pair, composed from the steps pair_orbits recorded."""
-    ident = tuple(range(board.side))
-    carry = Symmetry(board, False, ident, ident)
-    _, g, previous = orbits[pair]
-    while g is not None:
-        carry = carry.compose(g)
-        _, g, previous = orbits[previous]
-    return carry
+    onto pair, composed from the steps pair_orbits recorded; each carry
+    replaces its pair's step as one step from the root (path compression)."""
+    root, g, previous = orbits[pair]
+    if g is None:
+        return _line_swaps(board, ())  # the identity
+    if previous != root:
+        g = g.compose(carry_from_root(board, orbits, previous))
+        orbits[pair] = (root, g, root)
+    return g
 
 
 # --- canonical forms -------------------------------------------------------

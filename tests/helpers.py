@@ -11,7 +11,7 @@ from redoku.pipeline import (NOT_SUDOKU, SUDOKU, _level, enumerate_classes,
 from redoku.rewrite import _chute_tables, _step_for_chute
 from redoku.solver import SolverProblem
 from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _key_to_mask,
-                             canonical_key, group_images)
+                             _line_swaps, canonical_key, group_images)
 
 
 def pattern_solution(board: Board, shift: int = 0) -> Grid:
@@ -31,6 +31,23 @@ def pattern_solution(board: Board, shift: int = 0) -> Grid:
 def group_order(board: Board) -> int:
     f = factorial(board.n)
     return 2 * (f * f ** board.n) ** 2
+
+
+def generators(board: Board) -> tuple[Symmetry, ...]:
+    """A generating set of the whole group: transpose, adjacent band and
+    stack swaps, and adjacent line swaps inside each band and stack; the
+    breadth-first oracle of orbits and random group elements."""
+    n, side = board.n, board.side
+    ident = tuple(range(side))
+    gens = [Symmetry(board, True, ident, ident)]
+    for k in range(n - 1):
+        chutes = [(k * n + off, k * n + n + off) for off in range(n)]
+        gens += [_line_swaps(board, chutes), _line_swaps(board, chutes, True)]
+    for line in range(side - 1):
+        if line % n != n - 1:
+            gens += [_line_swaps(board, [(line, line + 1)]),
+                     _line_swaps(board, [(line, line + 1)], True)]
+    return tuple(gens)
 
 
 def image_key(n: int, image: int) -> int:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import (applicable_steps, brute_force_satisfiable,
+from helpers import (applicable_steps, brute_force_satisfiable, generators,
                      pattern_solution)
 from redoku.board import Board, ConstraintSet, Grid, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, enumerate_classes, minimal_catalog,
@@ -19,7 +19,7 @@ from redoku.rewrite import closure
 from redoku.smalls import (CONFIRMED_NEEDED, expand_small, probe_minimality,
                            sample_probes)
 from redoku.solver import SolverProblem, solve
-from redoku.symmetry import Symmetry, canonical_key, generators, group_images
+from redoku.symmetry import Symmetry, canonical_key, group_images
 
 BOARD = Board(3)
 

@@ -430,6 +430,58 @@ def test_probe_draw_is_confirmed_by_swaps(board):
             record.pair]
 
 
+def test_probe_draw_builds_one_swap_grid(board, monkeypatch):
+    # Swaps are tried grid-major over each orbit's pairs, and every orbit of
+    # the draw has a pair that grid 0 confirms, so the draw builds grid 0
+    # alone, where trying each pair on every grid first built 6.
+    base = expand_small(parse_missing(board, MODEL))
+    probes = sample_probes(base, 64, seed=1542757380)
+    probed, real = [], redoku.smalls.probe_pair
+
+    def probe_pair(*args, **kwargs):
+        probed.append(real(*args, **kwargs))
+        return probed[-1]
+    monkeypatch.setattr(redoku.smalls, "probe_pair", probe_pair)
+    redoku.solver._swap_grid.cache_clear()
+    probe_minimality(board, base, probes)
+    assert redoku.solver._swap_grid.cache_info().currsize == 1
+    assert [r.provenance for r in probed] == ["swap:0"] * 11
+
+
+def test_probe_pair_tries_the_orbit_grid_major(board):
+    # Alone, the root (1, 9) needs grid 5; with its orbit, a mate confirms
+    # it on grid 0 before any later grid is built.
+    cset = parse_missing(board, MODEL)
+    base = expand_small(cset)
+    orbit = [p for p, step in pair_orbits(cset, base).items()
+             if step[0] == (1, 9)]
+    record = probe_pair(board, base, (1, 9), orbit=orbit)
+    assert record.provenance == "swap:0" and record.pair != (1, 9)
+    assert record.pair in orbit
+    assert equal_model_pairs(board, MODEL, record.witness) == [record.pair]
+    assert probe_pair(board, base, (1, 9)).provenance == "swap:5"
+
+
+def test_orbit_mates_are_split_only_when_reached(board, monkeypatch):
+    # The root (0, 1) is confirmed by its own swap on grid 0, so none of the
+    # 71 other pairs of its orbit is split into regions and leftovers:
+    # _decompose runs once for the closure and once for the swap step.
+    cset = parse_missing(board, MODEL)
+    base = expand_small(cset)
+    orbit = [p for p, step in pair_orbits(cset, base).items()
+             if step[0] == (0, 1)]
+    calls = []
+
+    def decompose(board, rest):
+        calls.append(rest)
+        return _decompose(board, rest)
+    monkeypatch.setattr(redoku.smalls, "_decompose", decompose)
+    record = probe_pair(board, base, (0, 1), orbit=orbit)
+    assert len(orbit) == 72 and orbit[0] == (0, 1)
+    assert (record.pair, record.provenance) == ((0, 1), "swap:0")
+    assert calls == [base - {(0, 1)}] * 2
+
+
 def split_by_orbit_root(board, classes, monkeypatch):
     """Pairs of the classes' expansions by what decides their orbit's root
     probe: the closure, a value swap, or neither (a search, stubbed to stop

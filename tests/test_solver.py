@@ -235,7 +235,7 @@ def test_swap_grid_past_its_budget_is_skipped(board, monkeypatch):
     # which splits R1,C1,B1 and confirms pair (1,2)-(1,5), stops.
     cset = parse_missing(board, "R1,C1,B1")
     base = expand_small(parse_missing(board, "R2,R5,R8,C2,C5,C8"))
-    assert value_swap(cset)[0] == 0
+    assert value_swap([(cset, (), None)])[:2] == (0, 0)
     assert probe_pair(board, base, (1, 4)).provenance == "swap:0"
     builds = []
     real = redoku.solver.solve
@@ -250,8 +250,9 @@ def test_swap_grid_past_its_budget_is_skipped(board, monkeypatch):
     _swap_grid.cache_clear()
     try:
         assert _swap_grid(3, 0) is None
-        index, grid = value_swap(cset)
-        assert index > 0 and grid == modification_witness(cset)
+        index, alternative, grid = value_swap([(cset, (), None)])
+        assert index > 0 and alternative == 0
+        assert grid == modification_witness(cset)
         record = probe_pair(board, base, (1, 4))
         assert record.provenance.startswith("swap:")
         assert record.provenance != "swap:0" and record.nodes == 0

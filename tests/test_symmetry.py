@@ -3,7 +3,7 @@ import random
 import pytest
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, prod
 
 from redoku.board import (Board, ConstraintSet, parse_missing, region_cells,
@@ -12,11 +12,11 @@ from redoku.pipeline import _level, enumerate_classes
 from redoku.smalls import expand_small, sample_probes
 from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _completions,
                              _key_to_mask, canonical_key, carrier,
-                             carry_from_root, generators, group_images,
+                             carry_from_root, group_images,
                              orbit_size, pair_orbits, stabilizer_generators)
 
-from helpers import (canonicalize, covers, group_order, image_key,
-                     pattern_solution, unfiltered_completions)
+from helpers import (canonicalize, covers, generators, group_order,
+                     image_key, pattern_solution, unfiltered_completions)
 
 
 def bfs_walk(cset):
@@ -269,6 +269,25 @@ def test_orbit_carriers_fix_the_model(board):
             assert frozenset(cells[c] for c in region) in present
 
 
+def test_each_carry_is_composed_once(board, monkeypatch):
+    # carry_from_root writes each carry back as one step from the root, so
+    # carrying every pair composes one symmetry per pair that is not a root,
+    # and a second round composes none.
+    cset = parse_missing(board, "R2,R5,R8,C2,C5,C8")
+    orbits = pair_orbits(cset, expand_small(cset))
+    composed, real = [], Symmetry.compose
+
+    def compose(self, other):
+        composed.append(other)
+        return real(self, other)
+    monkeypatch.setattr(Symmetry, "compose", compose)
+    carries = [carry_from_root(board, orbits, pair) for pair in sorted(orbits)]
+    assert len(composed) <= len(orbits) - 11
+    assert [carry_from_root(board, orbits, pair)
+            for pair in sorted(orbits)] == carries
+    assert len(composed) <= len(orbits) - 11
+
+
 def test_stabilizer_generators_act_on_regions(board):
     rng = random.Random(17)
     models = [parse_missing(board, "R2,R5,R8,C2,C5,C8"),
@@ -282,6 +301,58 @@ def test_stabilizer_generators_act_on_regions(board):
             for cid in range(board.num_big):
                 image = {g.cells[c] for c in region_cells(cid, board)}
                 assert image == set(region_cells(g.labels[cid], board))
+
+
+def every_completion(cset):
+    """The stabilizer generators before pruning: one completion per coarse
+    element that fixes the model, and every transposition of two lines of
+    one band or stack that are both present or both absent."""
+    board, mask = cset.board, cset.mask
+    n, side = board.n, board.side
+    gens = list(_completions(board, mask, mask))
+    for at, columns in ((0, False), (side, True)):
+        for chute in range(0, side, n):
+            for a, b in combinations(range(chute, chute + n), 2):
+                if not (mask >> at + a ^ mask >> at + b) & 1:
+                    gens.append(swaps(board, [(a, b)], columns))
+    return gens
+
+
+def roots_under(gens, pairs):
+    """Each pair's smallest orbit mate under the group the gens generate."""
+    roots = {}
+    for pair in sorted(pairs):
+        if pair in roots:
+            continue
+        roots[pair], frontier = pair, [pair]
+        while frontier:
+            a, b = frontier.pop()
+            for g in gens:
+                image = tuple(sorted((g.cells[a], g.cells[b])))
+                if image not in roots:
+                    roots[image] = pair
+                    frontier.append(image)
+    return roots
+
+
+def test_pruned_generators_give_the_same_pair_orbits(board):
+    # A completion is kept only if its coarse part is new, and only
+    # transpositions of neighbouring same-status lines are kept: the 648-pair
+    # model goes from 78 generators to 11 and the full model from 90 to 17
+    # (order 4: 1,200 to 31), with the orbits of every completion.
+    rng = random.Random(29)
+    models = [ConstraintSet.full(board),
+              parse_missing(board, "R2,R5,R8,C2,C5,C8"),
+              parse_missing(board, "R1,B1,B4,B5,B8,B9")]
+    models += [ConstraintSet(board, rng.getrandbits(27)) for _ in range(4)]
+    models.append(ConstraintSet.full(Board(4)))
+    for cset in models:
+        pairs = expand_small(cset)
+        got = {pair: step[0] for pair, step in pair_orbits(cset, pairs).items()}
+        assert got == roots_under(every_completion(cset), pairs)
+    counts = [(len(stabilizer_generators(cset)), len(every_completion(cset)))
+              for cset in (models[1], models[0], models[-1])]
+    assert counts == [(11, 78), (17, 90), (31, 1_200)]
 
 
 def random_lines(n, rng):
