@@ -67,13 +67,10 @@ class Board(namedtuple("Board", "n")):
     def id_kind(self, cid: int) -> int:
         return cid // self.side
 
-    def id_index(self, cid: int) -> int:
-        return cid % self.side + 1
-
     def id_label(self, cid: int) -> str:
         if not 0 <= cid < self.num_big:
             raise ValueError(f"constraint id {cid} out of range")
-        return f"{KIND_LETTERS[self.id_kind(cid)]}{self.id_index(cid)}"
+        return f"{KIND_LETTERS[self.id_kind(cid)]}{cid % self.side + 1}"
 
     def parse_label(self, label: str) -> int:
         label = label.strip()
@@ -97,34 +94,20 @@ class Board(namedtuple("Board", "n")):
 
 @lru_cache(maxsize=None)
 def _regions(n: int) -> tuple[tuple[int, ...], ...]:
-    board = Board(n)
-    side = board.side
-    regions = []
-    for r in range(1, side + 1):
-        regions.append(tuple(board.cell_index(r, c) for c in range(1, side + 1)))
-    for c in range(1, side + 1):
-        regions.append(tuple(board.cell_index(r, c) for r in range(1, side + 1)))
-    for k in range(side):
-        br, bc = divmod(k, n)
-        regions.append(tuple(
-            board.cell_index(br * n + i + 1, bc * n + j + 1)
-            for i in range(n) for j in range(n)
-        ))
-    return tuple(regions)
+    # Rows, then columns, then boxes row-major, each in row-major order.
+    side = n * n
+    return tuple([tuple(range(r * side, r * side + side)) for r in range(side)]
+                 + [tuple(range(c, side * side, side)) for c in range(side)]
+                 + [tuple((k // n * n + i) * side + k % n * n + j
+                          for i in range(n) for j in range(n))
+                    for k in range(side)])
 
 
 @lru_cache(maxsize=None)
 def _cell_regions(n: int) -> tuple[tuple[int, int, int], ...]:
-    board = Board(n)
-    out = []
-    for cell in range(board.num_cells):
-        r, c = board.cell_coords(cell)
-        out.append((
-            board.make_id(ROW, r),
-            board.make_id(COL, c),
-            board.make_id(BOX, board.box_of(r, c)),
-        ))
-    return tuple(out)
+    side = n * n
+    return tuple((r, side + c, 2 * side + r // n * n + c // n)
+                 for r in range(side) for c in range(side))
 
 
 @lru_cache(maxsize=None)
@@ -145,11 +128,8 @@ class Chute(NamedTuple):
 
 def chutes(board: Board) -> tuple[Chute, ...]:
     """All 2n chutes, horizontal 1..n then vertical 1..n."""
-    return tuple(
-        Chute(horizontal, i)
-        for horizontal in (True, False)
-        for i in range(1, board.n + 1)
-    )
+    return tuple(Chute(horizontal, i) for horizontal in (True, False)
+                 for i in range(1, board.n + 1))
 
 
 def chute_members(chute: Chute, board: Board) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -161,14 +141,10 @@ def chute_members(chute: Chute, board: Board) -> tuple[tuple[int, ...], tuple[in
     n = board.n
     if not 1 <= chute.index <= n:
         raise ValueError(f"chute index {chute.index} out of range 1..{n}")
-    k = chute.index - 1
-    if chute.horizontal:
-        lines = tuple(board.make_id(ROW, k * n + j + 1) for j in range(n))
-        boxes = tuple(board.make_id(BOX, k * n + j + 1) for j in range(n))
-    else:
-        lines = tuple(board.make_id(COL, k * n + j + 1) for j in range(n))
-        boxes = tuple(board.make_id(BOX, j * n + k + 1) for j in range(n))
-    return lines, boxes
+    k, kind = chute.index - 1, ROW if chute.horizontal else COL
+    return (tuple(board.make_id(kind, k * n + j + 1) for j in range(n)),
+            tuple(board.make_id(BOX, (k * n + j if chute.horizontal
+                                      else j * n + k) + 1) for j in range(n)))
 
 
 class ConstraintSet(namedtuple("ConstraintSet", "board mask")):
@@ -254,9 +230,9 @@ class Grid(namedtuple("Grid", "board values")):
         if len(values) != board.num_cells:
             raise ValueError(
                 f"expected {board.num_cells} values, got {len(values)}")
-        for v in values:
-            if not 0 <= v <= board.side:
-                raise ValueError(f"cell value {v} out of domain 1..{board.side}")
+        if not 0 <= min(values) <= max(values) <= board.side:
+            v = next(v for v in values if not 0 <= v <= board.side)
+            raise ValueError(f"cell value {v} out of domain 1..{board.side}")
         return super().__new__(cls, board, values)
 
     @classmethod

@@ -30,11 +30,9 @@ class Step(NamedTuple):
 def _chute_tables(n: int) -> tuple[tuple[Chute, int, int], ...]:
     """(chute, line mask, box mask) triples, H1..Hn then V1..Vn."""
     board = Board(n)
-    out = []
-    for ch in chutes(board):
-        lines, boxes = chute_members(ch, board)
-        out.append((ch, sum(1 << i for i in lines), sum(1 << i for i in boxes)))
-    return tuple(out)
+    return tuple((ch, *(sum(1 << i for i in ids)
+                        for ids in chute_members(ch, board)))
+                 for ch in chutes(board))
 
 
 def _step_for_chute(mask: int, ch: Chute, lmask: int, bmask: int) -> Optional[Step]:

@@ -2,6 +2,8 @@
 # deduplicated cell-pair inequalities, counting them, and probing whether a
 # pair can be dropped without weakening the model: a closure certificate
 # proves it can, a witness grid from a value swap or a search that it cannot.
+# A probe splits its base into whole regions and leftover pairs once; the
+# Rest of every pair it tries is derived from that split.
 
 import random
 from functools import lru_cache
@@ -29,11 +31,8 @@ def pair_cells(board: Board, pair) -> tuple[tuple[int, int], tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _region_pairs(n: int) -> tuple[frozenset, ...]:
     board = Board(n)
-    out = []
-    for cid in range(board.num_big):
-        cells = region_cells(cid, board)
-        out.append(frozenset(combinations(cells, 2)))
-    return tuple(out)
+    return tuple(frozenset(combinations(region_cells(cid, board), 2))
+                 for cid in range(board.num_big))
 
 
 def expand_small(cset: ConstraintSet) -> frozenset:
@@ -60,9 +59,8 @@ def small_count_range(classes):
         raise ValueError("small_count_range needs at least one model")
     counts = [len(expand_small(c)) for c in classes]
     lo, hi = min(counts), max(counts)
-    argmin = tuple(c for c, k in zip(classes, counts) if k == lo)
-    argmax = tuple(c for c, k in zip(classes, counts) if k == hi)
-    return lo, hi, argmin, argmax
+    return lo, hi, *(tuple(c for c, k in zip(classes, counts) if k == end)
+                     for end in (lo, hi))
 
 
 def sample_probes(base, count: int, seed: int = 0) -> list:
@@ -74,22 +72,40 @@ def sample_probes(base, count: int, seed: int = 0) -> list:
 
 
 def _decompose(board: Board, rest: frozenset):
-    # Split a pair set into whole regions plus leftover pairs.  The solver
-    # then propagates region-wise over the wholly covered regions instead of
-    # treating every pair individually.
-    tables = _region_pairs(board.n)
-    mask = 0
-    covered = set()
-    for cid in range(board.num_big):
-        if tables[cid] <= rest:
-            mask |= 1 << cid
-            covered |= tables[cid]
-    bigs = ConstraintSet(board, mask)
-    return bigs, tuple(sorted(rest - covered))
+    # Split a pair set into whole regions, over which the solver propagates
+    # region-wise, plus leftover pairs.
+    whole = sum(1 << cid for cid, pairs in enumerate(_region_pairs(board.n))
+                if pairs <= rest)
+    holders = _pair_regions(board.n)
+    return ConstraintSet(board, whole), tuple(sorted(
+        p for p in rest if not holders.get(p, 0) & whole))
 
 
-def _closed_rest(board: Board, base, pair):
-    """Rest = `base` minus `pair`, _decompose'd, its whole regions closed
+@lru_cache(maxsize=None)
+def _pair_regions(n: int) -> dict:
+    """Pair of cells sharing a region -> mask of the regions holding it."""
+    holders = {}
+    for cid, pairs in enumerate(_region_pairs(n)):
+        for pair in pairs:
+            holders[pair] = holders.get(pair, 0) | 1 << cid
+    return holders
+
+
+def _without(board: Board, split, pair):
+    """_decompose(board, base - {pair}), from split = _decompose(board, base)
+    and a pair of base: the regions holding the pair stop being whole, and
+    their pairs that no region still whole covers join the leftovers."""
+    (bigs, extras), holders = split, _pair_regions(board.n)
+    whole = bigs.mask & ~holders.get(pair, 0)
+    freed = {p for cid, pairs in enumerate(_region_pairs(board.n))
+             if (bigs.mask ^ whole) >> cid & 1
+             for p in pairs if not holders[p] & whole}
+    return ConstraintSet(board, whole), tuple(sorted(freed.union(extras)
+                                                     - {pair}))
+
+
+def _closed_rest(board: Board, base, split, pair):
+    """Rest = `base` minus `pair`, split (_without), its whole regions closed
     under the chute lemmas: (closed bigs, leftovers, certificate).
 
     The lemmas are entailments, so the closed Rest admits exactly Rest's
@@ -99,7 +115,7 @@ def _closed_rest(board: Board, base, pair):
     """
     if pair not in base:
         raise ValueError(f"probe pair {pair} is not in the base set")
-    bigs, extras = _decompose(board, base - {pair})
+    bigs, extras = _without(board, split, pair)
     closed, trace = closure(bigs)
     for end, step in enumerate(trace, 1):
         if set(pair) <= set(region_cells(step.derived, board)):
@@ -125,11 +141,7 @@ class ProbeRecord(NamedTuple):
     certificate: tuple[str, tuple[str, ...]] | None = None
 
     def to_json_dict(self, board: Board) -> dict:
-        cells = pair_cells(board, self.pair)
-        certificate = None
-        if self.certificate:
-            region, trace = self.certificate
-            certificate = {"region": region, "trace": list(trace)}
+        cells, certificate = pair_cells(board, self.pair), self.certificate
         return {
             "pair": [list(cells[0]), list(cells[1])],
             "verdict": self.verdict,
@@ -138,7 +150,8 @@ class ProbeRecord(NamedTuple):
             "propagations": self.propagations,
             "seed_index": self.seed_index,
             "provenance": self.provenance,
-            "certificate": certificate,
+            "certificate": certificate and {"region": certificate[0],
+                                            "trace": list(certificate[1])},
         }
 
 
@@ -147,11 +160,25 @@ def _certified(pair, certificate) -> ProbeRecord:
                        certificate=certificate)
 
 
+@lru_cache(maxsize=4)
+def _partners(base: frozenset, cells: int) -> list:
+    # For each cell a, the mask of the cells b with (a, b) in base.
+    partners = [0] * cells
+    for a, b in base:
+        partners[a] |= 1 << b
+    return partners
+
+
 def _needed(base, pair, witness: Grid, provenance: str) -> ProbeRecord:
-    # A swapped or moved witness must make exactly the probed pair equal.
-    values = witness.values
-    equal = [p for p in base if values[p[0]] == values[p[1]]]
-    if equal != [pair]:
+    # A swapped or moved witness must make exactly the probed pair equal:
+    # each cell's partners are matched against the mask of its value's cells.
+    values, same = witness.values, [0] * (witness.board.side + 1)
+    for cell, value in enumerate(values):
+        same[value] |= 1 << cell
+    partners = zip(_partners(frozenset(base), len(values)), values)
+    if values[pair[0]] != values[pair[1]] or sum(
+            [(m & same[v]).bit_count() for m, v in partners]) != 1:
+        equal = [p for p in base if values[p[0]] == values[p[1]]]
         raise RuntimeError(f"witness for pair {pair} ({provenance}) makes "
                            f"pairs {equal[:3]} equal")
     return ProbeRecord(pair, CONFIRMED_NEEDED, witness, 0, 0,
@@ -162,18 +189,20 @@ DEFAULT_PROBE_BUDGET = 200_000
 
 
 def probe_pair(board: Board, base, pair, corpus=None,
-               budget: int = DEFAULT_PROBE_BUDGET, orbit=()) -> ProbeRecord:
+               budget: int = DEFAULT_PROBE_BUDGET, orbit=(),
+               split=None) -> ProbeRecord:
     """Test one pair of `base`: can the remaining pairs still force it apart?
 
-    Builds Rest = base minus the pair and closes its whole regions under
-    the chute lemmas (_closed_rest).  If a re-derived region holds both
-    cells, Rest entails the pair: the verdict is `redundant`, after no
-    search, and the record carries the closure certificate.  On the blank
-    board, a value swap (solver.value_swap) through the whole regions and
-    leftover pairs of Rest that makes the pair equal confirms it as needed,
-    after no search: tried grid-major over the pairs of `orbit`, pairs
-    whose probes a symmetry maps onto this one's, else on the pair, each
-    pair's Rest split only when its turn first comes, and the record is
+    Builds Rest = base minus the pair from `split`, base's _decompose (made
+    here if not given), and closes its whole regions under the chute
+    lemmas (_closed_rest).  If a re-derived region holds both cells, Rest
+    entails the pair: the verdict is `redundant`, after no search, and the
+    record carries the closure certificate.  On the blank board, a value
+    swap (solver.value_swap) through the whole regions and leftover pairs
+    of Rest that makes the pair equal confirms it as needed, after no
+    search: tried grid-major over the pairs of `orbit`, pairs whose probes
+    a symmetry maps onto this one's, else on the pair, each pair's Rest
+    derived from `split` only when its turn first comes, and the record is
     the confirmed pair's.  Otherwise solver.solve_equal searches the
     closed Rest, which admits the same grids; no grid within budget, or an
     exhaustive refutation, which has no certificate, is inconclusive.  A
@@ -183,8 +212,8 @@ def probe_pair(board: Board, base, pair, corpus=None,
     if corpus and budget < len(corpus):
         raise ValueError(f"node budget {budget} is below the corpus size "
                          f"{len(corpus)}: every puzzle needs a node")
-    pair = tuple(pair)
-    bigs, extras, certificate = _closed_rest(board, base, pair)
+    pair, split = tuple(pair), split or _decompose(board, base)
+    bigs, extras, certificate = _closed_rest(board, base, split, pair)
     if certificate:
         return _certified(pair, certificate)
     if corpus:
@@ -193,7 +222,7 @@ def probe_pair(board: Board, base, pair, corpus=None,
         budget //= len(corpus)
     else:
         mates = orbit or [pair]
-        found = value_swap((*_decompose(board, base - {mate}), [mate])
+        found = value_swap((*_without(board, split, mate), [mate])
                            for mate in mates)
         if found:
             index, k, grid = found
@@ -221,35 +250,36 @@ def probe_minimality(board: Board, base, probes, corpus=None,
     """
     base = frozenset(base)
     probes = [tuple(pair) for pair in probes]
-    bigs, extras = _decompose(board, base)
-    if corpus or extras:
-        return [probe_pair(board, base, pair, corpus=corpus, budget=budget)
-                for pair in probes]
-    orbits = pair_orbits(bigs, base)
-    members = {}  # orbit root -> its requested pairs, in order
-    for pair in dict.fromkeys(probes):
+    split = _decompose(board, base)
+    if corpus or split[1]:
+        return [probe_pair(board, base, pair, corpus=corpus, budget=budget,
+                           split=split) for pair in probes]
+    orbits, mates, members = pair_orbits(split[0], base), {}, {}
+    for pair, (root, _, _) in orbits.items():  # root -> its orbit, in order
+        mates.setdefault(root, []).append(pair)
+    for pair in dict.fromkeys(probes):  # root -> its requested pairs
         # A pair outside `base` is its own root; probe_pair rejects it.
         members.setdefault(orbits.get(pair, (pair,))[0], []).append(pair)
     searched = {root: probe_pair(board, base, pairs[0], budget=budget,
-                                 orbit=[p for p, step in orbits.items()
-                                        if step[0] == root])
+                                 orbit=mates.get(root, ()), split=split)
                 for root, pairs in members.items()}
-    return [_share(board, base, searched[orbits[pair][0]], orbits, pair)
-            for pair in probes]
+    return [_share(board, base, split, searched[orbits[pair][0]], orbits,
+                   pair) for pair in probes]
 
 
-def _share(board: Board, base, source: ProbeRecord, orbits,
+def _share(board: Board, base, split, source: ProbeRecord, orbits,
            pair) -> ProbeRecord:
     """The record of `pair` in the orbit probe whose record is `source`:
     source itself for its own pair; if source was certified, the closure
     certificate of `pair`'s own Rest; if source was confirmed, its witness
-    moved by the symmetry that carries source's pair onto `pair`: to_pair
-    after the inverse of to_source, which carry the orbit's root.
+    moved by the symmetry that carries source's pair onto `pair`: cell
+    to_pair(c) takes the value of cell to_source(c), where to_source and
+    to_pair carry the orbit's root onto the two pairs.
     """
     if source.pair == pair:
         return source
     if source.verdict == REDUNDANT:
-        certificate = _closed_rest(board, base, pair)[2]
+        certificate = _closed_rest(board, base, split, pair)[2]
         if certificate is None:
             raise RuntimeError(f"closure certifies pair {source.pair} but "
                                f"not its orbit mate {pair}")
@@ -259,6 +289,9 @@ def _share(board: Board, base, source: ProbeRecord, orbits,
         return ProbeRecord(pair, INCONCLUSIVE, None, 0, 0,
                            provenance=f"shared:{r1},{c1}-{r2},{c2}")
     to_source = carry_from_root(board, orbits, source.pair)
-    to_pair = carry_from_root(board, orbits, pair)
-    witness = to_pair.compose(to_source.inverse()).move(source.witness)
-    return _needed(base, pair, witness, f"transported:{r1},{c1}-{r2},{c2}")
+    values, moved = source.witness.values, [0] * board.num_cells
+    for cell, image in zip(to_source.cells,
+                           carry_from_root(board, orbits, pair).cells):
+        moved[image] = values[cell]
+    return _needed(base, pair, Grid(board, tuple(moved)),
+                   f"transported:{r1},{c1}-{r2},{c2}")

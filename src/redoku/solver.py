@@ -249,16 +249,13 @@ def _check_solution(problem: SolverProblem, grid: Grid) -> None:
     if verify_grid(grid, problem.bigs):
         raise RuntimeError("solver produced a grid violating a big constraint")
     values = grid.values
-    for a, b in problem.extra_smalls:
-        if values[a] == values[b]:
-            raise RuntimeError("solver produced a grid violating an inequality")
-    for a, b in problem.equalities:
-        if values[a] != values[b]:
-            raise RuntimeError("solver produced a grid breaking a forced equality")
-    if problem.givens is not None:
-        for cell, value in enumerate(problem.givens.values):
-            if value and values[cell] != value:
-                raise RuntimeError("solver produced a grid not extending the givens")
+    if any(values[a] == values[b] for a, b in problem.extra_smalls):
+        raise RuntimeError("solver produced a grid violating an inequality")
+    if any(values[a] != values[b] for a, b in problem.equalities):
+        raise RuntimeError("solver produced a grid breaking a forced equality")
+    if problem.givens is not None and any(
+            v and values[c] != v for c, v in enumerate(problem.givens.values)):
+        raise RuntimeError("solver produced a grid not extending the givens")
 
 
 def solve(problem: SolverProblem, budget: int = DEFAULT_NODE_BUDGET,

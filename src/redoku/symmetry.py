@@ -2,8 +2,8 @@
 # is generated by transposition, permutations of bands (row blocks) and
 # stacks (column blocks), and permutations of lines inside one band or
 # stack; its order is 2 * (n! * (n!)^n)^2.  Canonical forms take the
-# lexicographically smallest presence vector (R1 most significant, then
-# C1.., then B1..) over the group.
+# smallest presence vector (R1 most significant) over the group; carriers
+# and stabilizers complete a coarse element only once it is chosen.
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
@@ -76,13 +76,6 @@ class Symmetry(namedtuple("Symmetry", "board transpose rows cols")):
                         tuple(self.rows[r] for r in first_rows),
                         tuple(self.cols[c] for c in first_cols))
 
-    def inverse(self) -> "Symmetry":
-        rows, cols = (tuple(sorted(range(len(lines)), key=lines.__getitem__))
-                      for lines in (self.rows, self.cols))
-        if self.transpose:
-            rows, cols = cols, rows
-        return Symmetry(self.board, self.transpose, rows, cols)
-
     def move(self, grid: Grid) -> Grid:
         """The grid in which cell g(c) holds the value of cell c."""
         values = [0] * self.board.num_cells
@@ -93,13 +86,11 @@ class Symmetry(namedtuple("Symmetry", "board transpose rows cols")):
 
 def _line_swaps(board: Board, pairs, columns: bool = False) -> Symmetry:
     """Exchange each pair of 0-based rows (or columns) in `pairs`."""
-    ident = tuple(range(board.side))
-    lines = list(ident)
+    ident, lines = tuple(range(board.side)), list(range(board.side))
     for a, b in pairs:
         lines[a], lines[b] = lines[b], lines[a]
-    if columns:
-        return Symmetry(board, False, ident, tuple(lines))
-    return Symmetry(board, False, tuple(lines), ident)
+    moved = (ident, tuple(lines)) if columns else (tuple(lines), ident)
+    return Symmetry(board, False, *moved)
 
 
 # --- completions: stabilizers and carriers ---------------------------------
@@ -122,19 +113,11 @@ def _coarse(n: int) -> tuple[Symmetry, ...]:
         for tau in permutations(range(n)))
 
 
-def _completions(board: Board, source: int, target: int):
-    """Symmetries g with absent(g(source)) within absent(target), at most
-    one per coarse element.
-
-    The coarse image must keep the target's present boxes, and no band or
-    stack of it may have fewer present lines than the target's; band and
-    stack orders breaking the counts are dropped before any element is
-    applied.  In each band and stack, a line permutation then pairs the
-    image's lines with the target's, both sorted present lines first, which
-    puts the image's absent lines onto absent lines of the target.  A
-    symmetry keeps the number of absent constraints, so for equal masks the
-    subset is an equality.
-    """
+def _fits(board: Board, source: int, target: int):
+    """(coarse element g, g's image of source) for each g whose image keeps
+    the target's present boxes and has, in no band or stack, fewer present
+    lines than the target; band and stack orders breaking the counts are
+    dropped before any element is applied."""
     n, side = board.n, board.side
     coarse, perms = _coarse(n), list(permutations(range(n)))
     goal = _views(n, target)[0]
@@ -145,34 +128,45 @@ def _completions(board: Board, source: int, target: int):
         for sigma, tau in product(*fits):
             g = coarse[(flag * len(perms) + sigma) * len(perms) + tau]
             image = g.apply_mask(source)
-            if target >> 2 * side & ~image >> 2 * side:
-                continue  # a present box of the target has no source
-            fix = [list(range(side)), list(range(side))]
-            for at, perm in zip((0, side), fix):
-                for chute in range(0, side, n):
-                    lines = range(chute, chute + n)
-                    src = sorted(lines, key=lambda i: not image >> at + i & 1)
-                    dst = sorted(lines, key=lambda i: not target >> at + i & 1)
-                    for a, b in zip(src, dst):
-                        perm[a] = b
-            g = Symmetry(board, g.transpose, tuple(fix[0][r] for r in g.rows),
-                         tuple(fix[1][c] for c in g.cols))
-            if target & ~g.apply_mask(source) == 0:
-                yield g
+            if not target >> 2 * side & ~image >> 2 * side:
+                yield g, image
+
+
+def _completion(g: Symmetry, image: int, source: int,
+                target: int) -> Symmetry | None:
+    """g of _fits, then in each band and stack the line permutation pairing
+    the image's lines with the target's, both sorted present lines first,
+    so that absent lines go onto absent lines; None unless absent(g(source))
+    is then within absent(target), an equality for equal masks.  It moves
+    boxes as g does."""
+    board, n, side = g.board, g.board.n, g.board.side
+    fix = [list(range(side)), list(range(side))]
+    for at, perm in zip((0, side), fix):
+        for chute in range(0, side, n):
+            lines = range(chute, chute + n)
+            src = sorted(lines, key=lambda i: not image >> at + i & 1)
+            dst = sorted(lines, key=lambda i: not target >> at + i & 1)
+            for a, b in zip(src, dst):
+                perm[a] = b
+    g = Symmetry(board, g.transpose, tuple(fix[0][r] for r in g.rows),
+                 tuple(fix[1][c] for c in g.cols))
+    return g if target & ~g.apply_mask(source) == 0 else None
 
 
 def carrier(entry: ConstraintSet, cset: ConstraintSet) -> Symmetry | None:
-    """A symmetry g with absent(g(entry)) within absent(cset), or None."""
-    return next(_completions(cset.board, entry.mask, cset.mask), None)
+    """A symmetry g with absent(g(entry)) within absent(cset), or None: the
+    first completion of the elements of _fits, built one at a time."""
+    source, target = entry.mask, cset.mask
+    return next((g for coarse, image in _fits(cset.board, source, target)
+                 if (g := _completion(coarse, image, source, target))), None)
 
 
 def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
     """A generating set of the symmetries that map the model onto itself.
 
-    Each coarse element (transpose, band and stack permutations) whose image
-    of the model has the model's boxes and its count of present lines per
-    band and stack gives one completion onto the model itself, kept if its
-    coarse part, known by its box permutation, is not yet generated.  The
+    Each coarse element of _fits from the model onto itself is known by its
+    box permutation, which its completion keeps; the completion is built
+    and kept only if that box permutation is not yet generated.  The
     transpositions of neighbouring lines of one band or stack, both present
     or both absent, are added.  Any symmetry fixing the model, followed by
     the inverse of the kept completions' product with its coarse part,
@@ -183,17 +177,18 @@ def stabilizer_generators(cset: ConstraintSet) -> tuple[Symmetry, ...]:
     board, mask = cset.board, cset.mask
     n, side = board.n, board.side
     gens, reached = [], {tuple(range(2 * side, 3 * side))}
-    for g in _completions(board, mask, mask):
-        if g.labels[2 * side:] not in reached:
+    for coarse, image in _fits(board, mask, mask):
+        if (coarse.labels[2 * side:] not in reached
+                and (g := _completion(coarse, image, mask, mask))):
             gens.append(g)
             frontier = list(reached)
             while frontier:
                 boxes = frontier.pop()
                 for h in gens:
-                    image = tuple(map(h.labels.__getitem__, boxes))
-                    if image not in reached:
-                        reached.add(image)
-                        frontier.append(image)
+                    moved = tuple(map(h.labels.__getitem__, boxes))
+                    if moved not in reached:
+                        reached.add(moved)
+                        frontier.append(moved)
     for at, columns in ((0, False), (side, True)):
         for chute in range(0, side, n):
             lines = sorted(range(chute, chute + n),

@@ -10,8 +10,9 @@ from redoku.pipeline import (NOT_SUDOKU, SUDOKU, _level, enumerate_classes,
                              minimal_catalog)
 from redoku.rewrite import _chute_tables, _step_for_chute
 from redoku.solver import SolverProblem
-from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _key_to_mask,
-                             _line_swaps, canonical_key, group_images)
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _completion,
+                             _fits, _key_to_mask, _line_swaps, canonical_key,
+                             group_images)
 
 
 def pattern_solution(board: Board, shift: int = 0) -> Grid:
@@ -50,6 +51,15 @@ def generators(board: Board) -> tuple[Symmetry, ...]:
     return tuple(gens)
 
 
+def inverse(g: Symmetry) -> Symmetry:
+    """The symmetry undoing g: g.compose(inverse(g)) is the identity."""
+    rows, cols = (tuple(sorted(range(len(lines)), key=lines.__getitem__))
+                  for lines in (g.rows, g.cols))
+    if g.transpose:
+        rows, cols = cols, rows
+    return Symmetry(g.board, g.transpose, rows, cols)
+
+
 def image_key(n: int, image: int) -> int:
     """Packed key of a coarse image, each segment's absent lines first."""
     side = n * n
@@ -62,10 +72,18 @@ def image_key(n: int, image: int) -> int:
     return key | int(f"{image >> 2 * side:0{side}b}"[::-1], 2)
 
 
+def completions(board: Board, source: int, target: int) -> list:
+    """Every symmetry g with absent(g(source)) within absent(target) that
+    symmetry.carrier may return, at most one per coarse element, in the
+    order carrier tries them: the completion of each element of _fits."""
+    return [g for coarse, image in _fits(board, source, target)
+            if (g := _completion(coarse, image, source, target))]
+
+
 def unfiltered_completions(board: Board, source: int, target: int):
     """Completions of source into target by a walk over every coarse
     element in _coarse order, each applied before any test; the reference
-    for the counts prefilter of symmetry._completions."""
+    for the counts prefilter of symmetry._fits."""
     n, side = board.n, board.side
     seg = (1 << n) - 1
     for coarse in _coarse(n):

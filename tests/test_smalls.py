@@ -1,3 +1,6 @@
+import ast
+import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -5,15 +8,18 @@ import pytest
 
 import redoku.smalls
 import redoku.solver
-from redoku.board import ConstraintSet, parse_missing, region_cells
+from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
+                          region_cells)
 from redoku.pipeline import SUDOKU, _level
 from redoku.smalls import (CLOSURE, CONFIRMED_NEEDED, INCONCLUSIVE, REDUNDANT,
-                           SEARCH, _decompose, expand_small, pair_cells,
-                           probe_minimality, probe_pair, sample_probes,
-                           small_count_range)
+                           SEARCH, _decompose, _needed, _without, expand_small,
+                           pair_cells, probe_minimality, probe_pair,
+                           sample_probes, small_count_range)
 from redoku.solver import (BUDGET, LUBY_UNIT, SolverOutcome, SolveStats,
                            read_corpus)
 from redoku.symmetry import pair_orbits
+
+from helpers import pattern_solution
 
 MODEL = "R2,R5,R8,C2,C5,C8"
 
@@ -91,6 +97,44 @@ def test_decompose_splits_regions_and_leftovers(board):
     assert pair not in recovered
     full_again = expand_small(bigs) | recovered
     assert full_again == base - {pair}
+
+
+@pytest.mark.parametrize("order, models", [
+    (3, ["", "R2,R5,R8,C2,C5,C8", "R1,B1,B4,B5,B8,B9"]),
+    (2, ["", "R1,B1,B3,B4"])])
+def test_rest_derived_from_the_base_split(order, models):
+    # Each pair's Rest, derived from base's split, is the split of base
+    # minus the pair: for model expansions, and for random pair sets whose
+    # split has leftover pairs.
+    board, rng = Board(order), random.Random(order)
+    bases = [expand_small(parse_missing(board, text)) for text in models]
+    for _ in range(3):
+        pairs = sorted(expand_small(ConstraintSet(
+            board, rng.getrandbits(board.num_big))))
+        bases.append(frozenset(pairs) - set(rng.sample(pairs, 6)))
+        assert _decompose(board, bases[-1])[1]
+    for base in bases:
+        split = _decompose(board, base)
+        for pair in base:
+            assert _without(board, split, pair) == _decompose(board,
+                                                              base - {pair})
+
+
+def test_needed_rejects_a_witness_with_other_equal_pairs(board):
+    # _needed counts equal pairs without listing them: a grid making no
+    # pair of base equal, or one more than the probed pair, still fails
+    # with the pairs it makes equal.
+    base = expand_small(ConstraintSet.full(board))
+    grid = pattern_solution(board)
+    with pytest.raises(RuntimeError, match=r"makes pairs \[\] equal"):
+        _needed(base, (0, 1), grid, "swap:0")
+    values = list(grid.values)
+    values[1] = values[0]  # equal to cell 0 in R1 and to its twin in C2
+    twin = next(c for c in range(10, 81, 9) if values[c] == values[0])
+    with pytest.raises(RuntimeError) as raised:
+        _needed(base, (0, 1), Grid(board, tuple(values)), "swap:0")
+    equal = re.search(r"makes pairs (.*) equal", str(raised.value)).group(1)
+    assert sorted(ast.literal_eval(equal)) == [(0, 1), (1, twin)]
 
 
 def test_probe_pair_confirms_needed(board):
@@ -465,21 +509,28 @@ def test_probe_pair_tries_the_orbit_grid_major(board):
 def test_orbit_mates_are_split_only_when_reached(board, monkeypatch):
     # The root (0, 1) is confirmed by its own swap on grid 0, so none of the
     # 71 other pairs of its orbit is split into regions and leftovers:
-    # _decompose runs once for the closure and once for the swap step.
+    # _decompose runs once, on the base, and no mate's Rest is derived from
+    # it: the root's is, for the closure and for the swap step.
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     orbit = [p for p, step in pair_orbits(cset, base).items()
              if step[0] == (0, 1)]
-    calls = []
+    calls, derived = [], []
 
     def decompose(board, rest):
         calls.append(rest)
         return _decompose(board, rest)
+
+    def without(board, split, pair):
+        derived.append(pair)
+        return _without(board, split, pair)
     monkeypatch.setattr(redoku.smalls, "_decompose", decompose)
+    monkeypatch.setattr(redoku.smalls, "_without", without)
     record = probe_pair(board, base, (0, 1), orbit=orbit)
     assert len(orbit) == 72 and orbit[0] == (0, 1)
     assert (record.pair, record.provenance) == ((0, 1), "swap:0")
-    assert calls == [base - {(0, 1)}] * 2
+    assert calls == [base]
+    assert derived == [(0, 1)] * 2
 
 
 def split_by_orbit_root(board, classes, monkeypatch):

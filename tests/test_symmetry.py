@@ -6,17 +6,19 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, prod
 
+import redoku.symmetry
 from redoku.board import (Board, ConstraintSet, parse_missing, region_cells,
                           verify_grid)
 from redoku.pipeline import _level, enumerate_classes
 from redoku.smalls import expand_small, sample_probes
-from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _completions,
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse,
                              _key_to_mask, canonical_key, carrier,
                              carry_from_root, group_images,
                              orbit_size, pair_orbits, stabilizer_generators)
 
-from helpers import (canonicalize, covers, generators, group_order,
-                     image_key, pattern_solution, unfiltered_completions)
+from helpers import (canonicalize, completions, covers, generators,
+                     group_order, image_key, inverse, pattern_solution,
+                     unfiltered_completions)
 
 
 def bfs_walk(cset):
@@ -120,9 +122,9 @@ def test_inverse_and_compose(board):
     rng = random.Random(5)
     for _ in range(20):
         g = random_element(board, rng)
-        gi = g.compose(g.inverse())
+        gi = g.compose(inverse(g))
         assert gi.labels == tuple(range(27))
-        assert gi == g.inverse().compose(g) == identity(board)
+        assert gi == inverse(g).compose(g) == identity(board)
 
 
 def test_orbit_sizes_match_bfs(board):
@@ -309,7 +311,7 @@ def every_completion(cset):
     one band or stack that are both present or both absent."""
     board, mask = cset.board, cset.mask
     n, side = board.n, board.side
-    gens = list(_completions(board, mask, mask))
+    gens = completions(board, mask, mask)
     for at, columns in ((0, False), (side, True)):
         for chute in range(0, side, n):
             for a, b in combinations(range(chute, chute + n), 2):
@@ -353,6 +355,27 @@ def test_pruned_generators_give_the_same_pair_orbits(board):
     counts = [(len(stabilizer_generators(cset)), len(every_completion(cset)))
               for cset in (models[1], models[0], models[-1])]
     assert counts == [(11, 78), (17, 90), (31, 1_200)]
+
+
+def test_stabilizer_builds_only_the_kept_completions(board, monkeypatch):
+    # A coarse element's box permutation is known before its completion is
+    # built, so only the kept completions are: 5 of the 72 coarse elements
+    # for the 648-pair model and for the full model, 7 of 1,152 at order 4.
+    built = []
+
+    def completion(*args):
+        built.append(real(*args))
+        return built[-1]
+    real = redoku.symmetry._completion
+    monkeypatch.setattr(redoku.symmetry, "_completion", completion)
+    counts = []
+    for cset in (parse_missing(board, "R2,R5,R8,C2,C5,C8"),
+                 ConstraintSet.full(board), ConstraintSet.full(Board(4))):
+        built.clear()
+        gens = stabilizer_generators(cset)
+        assert built == list(gens[:len(built)])
+        counts.append(len(built))
+    assert counts == [5, 5, 7]
 
 
 def random_lines(n, rng):
@@ -458,7 +481,7 @@ def test_carrier_prefilter_loses_no_carrier(order, top):
                      if not r.fixpoint.is_full()}
         for mask, entry in product(sorted(fixpoints), catalog):
             walk = list(unfiltered_completions(board, entry.cset.mask, mask))
-            assert list(_completions(board, entry.cset.mask, mask)) == walk
+            assert completions(board, entry.cset.mask, mask) == walk
             assert carrier(entry.cset, ConstraintSet(board, mask)) == (
                 walk[0] if walk else None)
 
@@ -483,8 +506,8 @@ def test_compose_inverse_and_move_act_on_cells(order):
         gh = g.compose(h)
         assert gh.cells == tuple(g.cells[h.cells[c]]
                                  for c in range(board.num_cells))
-        assert g.inverse().compose(g) == identity(board)
-        assert all(g.inverse().cells[g.cells[c]] == c
+        assert inverse(g).compose(g) == identity(board)
+        assert all(inverse(g).cells[g.cells[c]] == c
                    for c in range(board.num_cells))
         out = g.move(grid)
         assert all(out.values[g.cells[c]] == grid.values[c]
