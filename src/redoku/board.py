@@ -48,10 +48,6 @@ class Board(namedtuple("Board", "n")):
     def cell_coords(self, cell: int) -> tuple[int, int]:
         return cell // self.side + 1, cell % self.side + 1
 
-    def box_of(self, row: int, col: int) -> int:
-        """1-based box index of a cell, boxes numbered row-major."""
-        return ((row - 1) // self.n) * self.n + (col - 1) // self.n + 1
-
     # --- big-constraint ids --------------------------------------------------
 
     # Ids are 0-based and ordered R1..RN, C1..CN, B1..BN; bit i of a
@@ -86,11 +82,6 @@ class Board(namedtuple("Board", "n")):
     def region_cells_all(self) -> tuple[tuple[int, ...], ...]:
         return _regions(self.n)
 
-    @property
-    def cell_region_ids(self) -> tuple[tuple[int, int, int], ...]:
-        """For each cell, the 3 region ids (row, col, box) containing it."""
-        return _cell_regions(self.n)
-
 
 @lru_cache(maxsize=None)
 def _regions(n: int) -> tuple[tuple[int, ...], ...]:
@@ -101,13 +92,6 @@ def _regions(n: int) -> tuple[tuple[int, ...], ...]:
                  + [tuple((k // n * n + i) * side + k % n * n + j
                           for i in range(n) for j in range(n))
                     for k in range(side)])
-
-
-@lru_cache(maxsize=None)
-def _cell_regions(n: int) -> tuple[tuple[int, int, int], ...]:
-    side = n * n
-    return tuple((r, side + c, 2 * side + r // n * n + c // n)
-                 for r in range(side) for c in range(side))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +165,11 @@ class ConstraintSet(namedtuple("ConstraintSet", "board mask")):
 
     @property
     def missing_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.board.num_big) if not self.mask >> i & 1)
+        absent, ids = self.board.full_mask & ~self.mask, []
+        while absent:  # lowest absent bit first
+            ids.append((absent & -absent).bit_length() - 1)
+            absent &= absent - 1
+        return tuple(ids)
 
     @property
     def num_missing(self) -> int:
@@ -234,13 +222,6 @@ class Grid(namedtuple("Grid", "board values")):
             v = next(v for v in values if not 0 <= v <= board.side)
             raise ValueError(f"cell value {v} out of domain 1..{board.side}")
         return super().__new__(cls, board, values)
-
-    @classmethod
-    def empty(cls, board: Board) -> "Grid":
-        return cls(board, (0,) * board.num_cells)
-
-    def get(self, row: int, col: int) -> int:
-        return self.values[self.board.cell_index(row, col)]
 
     def is_complete(self) -> bool:
         return 0 not in self.values

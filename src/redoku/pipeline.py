@@ -11,7 +11,7 @@ from typing import NamedTuple
 from .board import Board, ConstraintSet, Grid
 from .rewrite import close_mask
 from .solver import _broken_regions, _checked_witness, find_witness
-from .symmetry import _canonical_key, _key_to_mask, carrier, orbit_size
+from .symmetry import _canonical_key, _key_to_mask, carrier
 from .symmetry import group_images  # noqa: F401 (perfbench/trace.py wraps it)
 
 SUDOKU = "sudoku"
@@ -44,12 +44,12 @@ class ClassRecord(NamedTuple):
     catalog_match: str | None
     witness: Grid | None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, label=ConstraintSet.missing_labels) -> dict:
         return {
-            "missing": self.cset.missing_labels(),
+            "missing": label(self.cset),
             "orbit_size": self.orbit_size,
             "verdict": self.verdict,
-            "fixpoint_missing": self.fixpoint.missing_labels(),
+            "fixpoint_missing": label(self.fixpoint),
             "closure_steps": self.steps,
             "catalog_match": self.catalog_match,
             "witness": self.witness.to_line() if self.witness else None,
@@ -81,6 +81,9 @@ class ClassificationReport(NamedTuple):
         return tuple(r.cset for r in self.records if r.verdict == UNRESOLVED)
 
     def to_json_dict(self) -> dict:
+        # Each distinct model of the report is labelled once.
+        models = {c for r in self.records for c in (r.cset, r.fixpoint)}
+        label = {c: c.missing_labels() for c in models}.__getitem__
         return {
             "order": self.board.n,
             "n_missing": self.n_missing,
@@ -89,11 +92,10 @@ class ClassificationReport(NamedTuple):
             "sudoku_count": len(self.sudoku_classes),
             "non_sudoku_count": len(self.non_sudoku_classes),
             "unresolved_count": len(self.unresolved_classes),
-            "sudoku_classes": [c.missing_labels() for c in self.sudoku_classes],
-            "non_sudoku_classes": [
-                c.missing_labels() for c in self.non_sudoku_classes],
+            "sudoku_classes": list(map(label, self.sudoku_classes)),
+            "non_sudoku_classes": list(map(label, self.non_sudoku_classes)),
             "catalog": [e.to_json_dict() for e in self.catalog],
-            "classes": [r.to_json_dict() for r in self.records],
+            "classes": [r.to_json_dict(label) for r in self.records],
             "elapsed_seconds": self.elapsed,
         }
 
@@ -102,18 +104,18 @@ class ClassificationReport(NamedTuple):
 def _level(n: int, k: int):
     """Classes with k absent constraints, built from those with k - 1.
 
-    Returns (records, catalog): one ClassRecord per class, and the catalog
-    through level k.  Each class is found by dropping one present
-    constraint from a level k - 1 class and canonicalizing.  A class mask
-    lists each band's and stack's absent lines first, and a line swap fixing
-    it exchanges any two present lines there, so only each segment's first
-    present line and each present box are dropped; each distinct child is
-    keyed once.  The records come in canonical key order, which is the
-    order of first appearance among lexicographic missing-id combinations,
-    because the key packs R1 most significant.  orbit_size counts each
-    class's images from its coarse stabilizer and line arrangements, so the
-    sizes summing to C(num_big, k) still checks that no class is missed or
-    doubled.
+    Returns (records, catalog, matches): one ClassRecord per class, the
+    catalog through level k, and the match of each stuck fixpoint met so
+    far.  Each class is found by dropping one present constraint from a
+    level k - 1 class and canonicalizing.  A class mask lists each band's
+    and stack's absent lines first, and a line swap fixing it exchanges any
+    two present lines there, so only each segment's first present line and
+    each present box are dropped; each distinct child is keyed once, and
+    the call keying a class first also counts its orbit size (see
+    orbit_size), so the sizes summing to C(num_big, k) still checks that
+    no class is missed or doubled.  The records come in canonical key
+    order, which is the order of first appearance among lexicographic
+    missing-id combinations, because the key packs R1 most significant.
 
     Then each class is closed under the derivation rules, in mask order.
     A class reaching the full set is Sudoku-equivalent.  A stuck class
@@ -122,40 +124,43 @@ def _level(n: int, k: int):
     entry's witness moved by g, verified against the class and the full
     model.  The match, the moved witness and the regions it breaks are
     found once per distinct fixpoint (the 281 stuck classes of order 3's
-    level 6 have 52), and each class checks those regions against its own
-    present constraints.  A closed stuck class no entry carries into gets a
-    value-swap witness from find_witness and becomes a new entry; one that
-    no swap grid splits is left out, so its classes are unresolved, with no
-    witness.  An entry with k absences carries only into fixpoints with at
-    least k, so the growing catalog gives each class the match the finished
-    one would, and a fixpoint's first match cannot change later in the
-    level.
+    level 6 have 52, 19 of them met below level 6), and each class checks
+    those regions against its own present constraints.  A closed stuck
+    class no entry carries into gets a value-swap witness from
+    find_witness and becomes a new entry; one that no swap grid splits is
+    left out, so its classes are unresolved, with no witness.  An entry
+    with k absences carries only into fixpoints with at least k, so the
+    growing catalog gives each class the match the finished one would, and
+    a fixpoint's first match cannot change later in the level.  An entry
+    added at a later level has more absences than any fixpoint met so far,
+    so the matches pass on from level to level unchanged.
     """
     board = Board(n)
     if not 0 <= k <= board.num_big:
         raise ValueError(f"n_missing {k} out of range 0..{board.num_big}")
-    if k == 0:
-        masks, catalog = [board.full_mask], ()
+    if k == 0:  # the full model, which every symmetry fixes
+        orbits, catalog, matches = {board.full_mask: 1}, (), {}
     else:
-        prev, catalog = _level(n, k - 1)
-        children = set()
+        prev, catalog, matches = _level(n, k - 1)
+        children, sizes, lines = set(), {}, 2 * board.side
         for record in prev:
             mask = present = record.cset.mask
             while present:
                 bit = present & -present
                 i = bit.bit_length() - 1
-                if i >= 2 * board.side or i % n == 0 or not mask >> i - 1 & 1:
+                if i >= lines or i % n == 0 or not mask >> i - 1 & 1:
                     children.add(mask ^ bit)
                 present ^= bit
-        keys = sorted({_canonical_key(n, child) for child in children})
-        masks = [_key_to_mask(key, board.num_big) for key in keys]
-    orbits = {mask: orbit_size(ConstraintSet(board, mask)) for mask in masks}
+        for child in children:
+            _canonical_key(n, child, sizes)
+        orbits = {_key_to_mask(key, board.num_big): sizes[key]
+                  for key in sorted(sizes)}
     if sum(orbits.values()) != math.comb(board.num_big, k):
         raise RuntimeError(
             f"orbit sizes at level {k} sum to {sum(orbits.values())}, "
             f"not C({board.num_big}, {k})")
-    catalog, records, matches = list(catalog), {}, {}
-    for mask in sorted(masks):
+    catalog, records, matches = list(catalog), {}, dict(matches)
+    for mask in sorted(orbits):
         cset = ConstraintSet(board, mask)
         fixpoint = ConstraintSet(board, close_mask(n, mask))
         verdict, entry, witness = SUDOKU, None, None
@@ -180,7 +185,7 @@ def _level(n: int, k: int):
         records[mask] = ClassRecord(
             cset, orbits[mask], verdict, fixpoint, k - fixpoint.num_missing,
             entry.label if entry else None, witness)
-    return tuple(records[mask] for mask in masks), tuple(catalog)
+    return tuple(records[mask] for mask in orbits), tuple(catalog), matches
 
 
 def enumerate_classes(board: Board, n_missing: int) -> tuple[ConstraintSet, ...]:

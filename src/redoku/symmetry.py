@@ -7,7 +7,7 @@
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import groupby, permutations, product
+from itertools import groupby, permutations
 from math import comb, factorial, prod
 from operator import ge, itemgetter, or_
 
@@ -65,9 +65,6 @@ class Symmetry(namedtuple("Symmetry", "board transpose rows cols")):
             absent ^= bit
         return out
 
-    def apply(self, cset: ConstraintSet) -> ConstraintSet:
-        return ConstraintSet(self.board, self.apply_mask(cset.mask))
-
     def compose(self, other: "Symmetry") -> "Symmetry":
         """The symmetry acting as `other` first, then self."""
         first_rows, first_cols = ((other.cols, other.rows) if self.transpose
@@ -113,23 +110,38 @@ def _coarse(n: int) -> tuple[Symmetry, ...]:
         for tau in permutations(range(n)))
 
 
+@lru_cache(maxsize=None)
+def _stack_moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each stack order tau, in _coarse's order, the box row (an n-bit
+    integer, the first stack most significant) that each box row becomes."""
+    return tuple(tuple(sum(1 << n - 1 - tau[s] for s in range(n)
+                           if row >> n - 1 - s & 1) for row in range(1 << n))
+                 for tau in permutations(range(n)))
+
+
 def _fits(board: Board, source: int, target: int):
     """(coarse element g, g's image of source) for each g whose image keeps
     the target's present boxes and has, in no band or stack, fewer present
-    lines than the target; band and stack orders breaking the counts are
-    dropped before any element is applied."""
+    lines than the target, in _coarse order.  Band and stack orders
+    breaking the counts are dropped, and the boxes of each pair left are
+    tested on box rows, band a's row moved by tau onto the target's row
+    sigma(a), before any element is applied."""
     n, side = board.n, board.side
-    coarse, perms = _coarse(n), list(permutations(range(n)))
-    goal = _views(n, target)[0]
-    for flag, view in enumerate(_views(n, source)):
-        fits = ([i for i, perm in enumerate(perms)  # band, then stack orders
-                 if all(map(ge, have, itemgetter(*perm)(want)))]
-                for have, want in zip(view, goal))
-        for sigma, tau in product(*fits):
-            g = coarse[(flag * len(perms) + sigma) * len(perms) + tau]
-            image = g.apply_mask(source)
-            if not target >> 2 * side & ~image >> 2 * side:
-                yield g, image
+    coarse, moves = _coarse(n), _stack_moves(n)
+    perms = list(permutations(range(n)))
+    goal, need = _views(n, target)[0], _box_rows(n, target >> 2 * side)[0]
+    for flag, (view, rows) in enumerate(zip(_views(n, source),
+                                            _box_rows(n, source >> 2 * side))):
+        bands, stacks = ([i for i, perm in enumerate(perms)
+                          if all(map(ge, have, itemgetter(*perm)(want)))]
+                         for have, want in zip(view, goal))
+        moved = [(tau, [moves[tau][row] for row in rows]) for tau in stacks]
+        for sigma in bands:
+            wanted = itemgetter(*perms[sigma])(need)
+            for tau, have in moved:
+                if not any(w & ~h for w, h in zip(wanted, have)):
+                    g = coarse[(flag * len(perms) + sigma) * len(perms) + tau]
+                    yield g, g.apply_mask(source)
 
 
 def _completion(g: Symmetry, image: int, source: int,
@@ -155,8 +167,14 @@ def _completion(g: Symmetry, image: int, source: int,
 
 def carrier(entry: ConstraintSet, cset: ConstraintSet) -> Symmetry | None:
     """A symmetry g with absent(g(entry)) within absent(cset), or None: the
-    first completion of the elements of _fits, built one at a time."""
-    source, target = entry.mask, cset.mask
+    first completion of the elements of _fits, built one at a time.  Lines
+    go to lines and boxes to boxes, so an entry with more absent lines or
+    more absent boxes than the model has no carrier."""
+    source, target, lines = entry.mask, cset.mask, 2 * cset.board.side
+    if ((source & (1 << lines) - 1).bit_count()
+            < (target & (1 << lines) - 1).bit_count()
+            or (source >> lines).bit_count() < (target >> lines).bit_count()):
+        return None
     return next((g for coarse, image in _fits(cset.board, source, target)
                  if (g := _completion(coarse, image, source, target))), None)
 
@@ -236,7 +254,7 @@ def carry_from_root(board: Board, orbits: dict, pair) -> Symmetry:
     replaces its pair's step as one step from the root (path compression)."""
     root, g, previous = orbits[pair]
     if g is None:
-        return _line_swaps(board, ())  # the identity
+        return _coarse(board.n)[0]  # the identity, built once per order
     if previous != root:
         g = g.compose(carry_from_root(board, orbits, previous))
         orbits[pair] = (root, g, root)
@@ -257,11 +275,6 @@ def carry_from_root(board: Board, orbits: dict, pair) -> Symmetry:
 # the minimum in stages: rows, then columns, then the box bits of the
 # elements left.  Caches filled on first use hold each line pattern's
 # stages, each box pattern's rows and each count tuple's sorting orders.
-
-
-def canonical_key(cset: ConstraintSet) -> int:
-    """Smallest presence vector over the group, packed R1-first."""
-    return _canonical_key(cset.board.n, cset.mask)
 
 
 @lru_cache(maxsize=None)
@@ -296,32 +309,35 @@ def _views(n: int, mask: int):
 @lru_cache(maxsize=None)
 def _line_views(n: int, lines: int):
     """The key's line bits, each segment's absent lines first, from the
-    smallest (sorted band counts, sorted stack counts) over the views; for
-    each view reaching them, its flag, band counts << n and stack tables."""
+    smallest (sorted band counts, sorted stack counts) over the views; the
+    line arrangements times 2 * (n!)^2 (see orbit_size); and for each view
+    reaching them, its flag, band counts << n and stack tables."""
     views = [(_sorts(rows), _sorts(cols), flag, tuple(c << n for c in rows))
              for flag, (rows, cols) in enumerate(_views(n, lines))]
     head = min((rows[0], cols[0]) for rows, cols, _, _ in views)
     key = int("".join(f"{(1 << p) - 1:0{n}b}" for p in head[0] + head[1]), 2)
-    return key, tuple((flag, shifted, tables)
-                      for (row_head, _), (col_head, tables), flag, shifted
-                      in views if (row_head, col_head) == head)
+    scale = prod(comb(n, p) for p in head[0] + head[1]) * 2 * factorial(n) ** 2
+    return key, scale, tuple((flag, shifted, tables)
+                             for (row_head, _), (col_head, tables), flag,
+                             shifted in views if (row_head, col_head) == head)
 
 
-def _staged(n: int, mask: int):
-    """The key's line bits, and for each view and stack order left, the
-    view's bands read in that order and sorted: its smallest image, since
-    bands of equal count may come in any order."""
-    key, views = _line_views(n, mask & (1 << 2 * n * n) - 1)
+def _canonical_key(n: int, mask: int, sizes: dict | None = None) -> int:
+    """The line bits of _line_views, then the box rows of the smallest
+    candidate: for each view and stack order left, the view's bands read
+    in that order and sorted, its smallest image, since bands of equal
+    count may come in any order.  A key not yet in `sizes` gets its orbit
+    size there, counted from the same candidates (see orbit_size)."""
+    key, scale, views = _line_views(n, mask & (1 << 2 * n * n) - 1)
     boxes = _box_rows(n, mask >> 2 * n * n)
-    return key, [sorted(map(table.__getitem__, map(or_, shifted, boxes[flag])))
-                 for flag, shifted, tables in views for table in tables]
-
-
-def _canonical_key(n: int, mask: int) -> int:
-    """The line bits of _staged, then its smallest bands' box rows."""
-    key, candidates = _staged(n, mask)
-    for band in min(candidates):
+    candidates = [sorted(map(table.__getitem__, map(or_, shifted, boxes[flag])))
+                  for flag, shifted, tables in views for table in tables]
+    best = min(candidates)
+    for band in best:
         key = key << n | band & (1 << n) - 1
+    if sizes is not None and key not in sizes:
+        sizes[key] = scale // (candidates.count(best) * prod(
+            factorial(len(list(same))) for _, same in groupby(best)))
     return key
 
 
@@ -357,13 +373,9 @@ def orbit_size(cset: ConstraintSet) -> int:
     when their keys agree and none otherwise, so the orbit holds that
     product times the number of distinct keys, which is 2 * (n!)^2 over the
     number of coarse elements that fix the model's segment counts and box
-    rows.  As many carry the model onto its key: for each smallest _staged
-    candidate, the band orders that permute its equal bands."""
-    n, mask = cset.board.n, cset.mask
-    rows, cols = _views(n, mask)[0]
-    arrangements = prod(comb(n, present) for present in rows + cols)
-    _, candidates = _staged(n, mask)
-    best = min(candidates)
-    fixing = sum(prod(factorial(len(list(same))) for _, same in groupby(bands))
-                 for bands in candidates if bands == best)
-    return arrangements * 2 * factorial(n) ** 2 // fixing
+    rows.  As many carry the model onto its key: for each smallest
+    candidate of _canonical_key, the band orders that permute its equal
+    bands.  The sweep gets each class's size from the call keying it."""
+    sizes = {}
+    _canonical_key(cset.board.n, cset.mask, sizes)
+    return sizes.popitem()[1]

@@ -11,8 +11,7 @@ from redoku.pipeline import (NOT_SUDOKU, SUDOKU, _level, enumerate_classes,
 from redoku.rewrite import _chute_tables, _step_for_chute
 from redoku.solver import SolverProblem
 from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _completion,
-                             _fits, _key_to_mask, _line_swaps, canonical_key,
-                             group_images)
+                             _fits, _key_to_mask, _line_swaps, group_images)
 
 
 def pattern_solution(board: Board, shift: int = 0) -> Grid:
@@ -27,6 +26,32 @@ def pattern_solution(board: Board, shift: int = 0) -> Grid:
         for c in range(side):
             vals.append((r * n + r // n + c + shift) % side + 1)
     return Grid(board, tuple(vals))
+
+
+def box_of(board: Board, row: int, col: int) -> int:
+    """1-based box index of a 1-based cell, boxes numbered row-major."""
+    return ((row - 1) // board.n) * board.n + (col - 1) // board.n + 1
+
+
+def cell_region_ids(board: Board) -> tuple[tuple[int, int, int], ...]:
+    """For each cell, the 3 region ids (row, col, box) containing it."""
+    n, side = board.n, board.side
+    return tuple((r, side + c, 2 * side + r // n * n + c // n)
+                 for r in range(side) for c in range(side))
+
+
+def empty_grid(board: Board) -> Grid:
+    return Grid(board, (0,) * board.num_cells)
+
+
+def cell_value(grid: Grid, row: int, col: int) -> int:
+    """The value of the 1-based cell (row, col)."""
+    return grid.values[grid.board.cell_index(row, col)]
+
+
+def apply(g: Symmetry, cset: ConstraintSet) -> ConstraintSet:
+    """The model g maps cset onto."""
+    return ConstraintSet(cset.board, g.apply_mask(cset.mask))
 
 
 def group_order(board: Board) -> int:
@@ -80,10 +105,11 @@ def completions(board: Board, source: int, target: int) -> list:
             if (g := _completion(coarse, image, source, target))]
 
 
-def unfiltered_completions(board: Board, source: int, target: int):
-    """Completions of source into target by a walk over every coarse
-    element in _coarse order, each applied before any test; the reference
-    for the counts prefilter of symmetry._fits."""
+def applied_fits(board: Board, source: int, target: int):
+    """(coarse element, its image of source) for each coarse element, in
+    _coarse order, whose image keeps the target's present boxes and has, in
+    no band or stack, fewer present lines than the target; every element
+    is applied before it is tested.  The reference for symmetry._fits."""
     n, side = board.n, board.side
     seg = (1 << n) - 1
     for coarse in _coarse(n):
@@ -94,6 +120,15 @@ def unfiltered_completions(board: Board, source: int, target: int):
                < (target >> shift & seg).bit_count()
                for shift in range(0, 2 * side, n)):
             continue  # a segment has more absent lines than the target's
+        yield coarse, image
+
+
+def unfiltered_completions(board: Board, source: int, target: int):
+    """Completions of source into target by a walk over every coarse
+    element in _coarse order (applied_fits); the reference for the
+    prefilters of symmetry._fits and symmetry.carrier."""
+    n, side = board.n, board.side
+    for coarse, image in applied_fits(board, source, target):
         fix = [list(range(side)), list(range(side))]
         for offset, perm in zip((0, side), fix):
             for chute in range(0, side, n):
@@ -107,6 +142,11 @@ def unfiltered_completions(board: Board, source: int, target: int):
                      tuple(fix[1][c] for c in coarse.cols))
         if target & ~g.apply_mask(source) == 0:
             yield g
+
+
+def canonical_key(cset: ConstraintSet) -> int:
+    """Smallest presence vector over the group, packed R1-first."""
+    return _canonical_key(cset.board.n, cset.mask)
 
 
 def canonicalize(cset: ConstraintSet) -> ConstraintSet:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from helpers import pattern_solution
+from helpers import (box_of, cell_region_ids, cell_value, empty_grid,
+                     pattern_solution)
 from redoku.board import (BOX, COL, ROW, Board, Chute, ConstraintSet, Grid,
                           chutes, chute_members, parse_missing, region_cells,
                           verify_grid)
@@ -36,11 +39,11 @@ def test_cell_index_rejects_out_of_range(board):
 
 
 def test_box_layout(board):
-    assert board.box_of(1, 1) == 1
-    assert board.box_of(1, 9) == 3
-    assert board.box_of(5, 5) == 5
-    assert board.box_of(9, 1) == 7
-    assert board.box_of(9, 9) == 9
+    assert box_of(board, 1, 1) == 1
+    assert box_of(board, 1, 9) == 3
+    assert box_of(board, 5, 5) == 5
+    assert box_of(board, 9, 1) == 7
+    assert box_of(board, 9, 9) == 9
 
 
 def test_id_label_round_trip(board):
@@ -71,7 +74,7 @@ def test_region_cells_partition(board):
 
 def test_each_cell_in_three_regions(board):
     for cell in range(81):
-        kinds = sorted(board.id_kind(cid) for cid in board.cell_region_ids[cell])
+        kinds = sorted(board.id_kind(cid) for cid in cell_region_ids(board)[cell])
         assert kinds == [ROW, COL, BOX]
 
 
@@ -110,12 +113,23 @@ def test_from_missing_deduplicates(board):
     assert a == b and a.num_missing == 2
 
 
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_missing_labels_list_absent_ids_in_order(order):
+    board, rng = Board(order), random.Random(61)
+    masks = [board.full_mask, 0] + [rng.getrandbits(board.num_big)
+                                    for _ in range(50)]
+    for mask in masks:
+        assert ConstraintSet(board, mask).missing_labels() == ",".join(
+            board.id_label(i) for i in range(board.num_big)
+            if not mask >> i & 1)
+
+
 def test_grid_accessors(board):
     grid = pattern_solution(board)
     assert grid.is_complete()
     assert grid.values.count(0) == 0
-    assert grid.get(1, 1) == 1
-    empty = Grid.empty(board)
+    assert cell_value(grid, 1, 1) == 1
+    empty = empty_grid(board)
     assert empty.values.count(0) == 81
     assert not empty.is_complete()
 
@@ -149,7 +163,7 @@ def test_verify_grid_pinpoints_violations(board):
 
 def test_verify_grid_rejects_incomplete(board):
     with pytest.raises(ValueError):
-        verify_grid(Grid.empty(board), ConstraintSet.full(board))
+        verify_grid(empty_grid(board), ConstraintSet.full(board))
 
 
 def test_order_two_board(board2):
@@ -199,7 +213,7 @@ def test_checked_value_types_reject_bad_keyword_arguments(board):
         (lambda: Grid(board=board, values=(10,) * 81),
          "cell value 10 out of domain"),
         (lambda: SolverProblem(ConstraintSet.full(board),
-                               givens=Grid.empty(Board(2))),
+                               givens=empty_grid(Board(2))),
          "givens grid belongs to a different board"),
         (lambda: Symmetry(board=board, transpose=False, rows=(0,) * 9,
                           cols=ident), "lines are not permuted"),

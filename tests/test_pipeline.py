@@ -7,9 +7,9 @@ import redoku.pipeline
 from redoku.board import Board, ConstraintSet, parse_missing, verify_grid
 from redoku.pipeline import (NOT_SUDOKU, SUDOKU, UNRESOLVED, enumerate_classes,
                              minimal_catalog, raw_count, run_classification)
-from redoku.symmetry import Symmetry, _canonical_key, canonical_key, carrier
+from redoku.symmetry import Symmetry, _canonical_key, carrier
 
-from helpers import (brute_force_classes, canonicalize, class_orbit_sizes,
+from helpers import (brute_force_classes, canonical_key, class_orbit_sizes,
                      derive_from_catalog)
 
 
@@ -27,11 +27,18 @@ def test_orbit_sizes_sum_to_raw_count(board):
 
 
 def test_orbit_size_sum_check_fires(board, monkeypatch, fresh_pipeline_caches):
-    # One level-3 class counted one image too many must break the sum.
-    wrong = canonicalize(parse_missing(board, "R1,R2,R3")).mask
-    true_size = redoku.pipeline.orbit_size
-    monkeypatch.setattr(redoku.pipeline, "orbit_size",
-                        lambda cset: true_size(cset) + (cset.mask == wrong))
+    # One level-3 class counted one image too many must break the sum: the
+    # size the sweep counts when it first keys R1,R2,R3's class is raised.
+    wrong = canonical_key(parse_missing(board, "R1,R2,R3"))
+    true_key = redoku.pipeline._canonical_key
+
+    def corrupted(n, mask, sizes=None):
+        first = sizes is not None and wrong not in sizes
+        key = true_key(n, mask, sizes)
+        if first and key == wrong:
+            sizes[key] += 1
+        return key
+    monkeypatch.setattr(redoku.pipeline, "_canonical_key", corrupted)
     with pytest.raises(RuntimeError, match=re.escape("not C(27, 3)")):
         redoku.pipeline._level(3, 3)
 
@@ -226,7 +233,7 @@ def test_derived_classification_matches_direct(order, k):
 def test_shared_matches_equal_per_class_matches(order, k):
     # The sweep matches each fixpoint once; matching every stuck class on
     # its own against the level's catalog must give the same entry and grid.
-    records, catalog = redoku.pipeline._level(order, k)
+    records, catalog, _ = redoku.pipeline._level(order, k)
     for record in records:
         if record.verdict == SUDOKU:
             continue
@@ -238,10 +245,11 @@ def test_shared_matches_equal_per_class_matches(order, k):
 
 
 def test_level_matches_each_fixpoint_once(monkeypatch, fresh_pipeline_caches):
-    # Level 6 of order 3: 281 stuck classes close to 52 distinct fixpoints.
-    # Matching each class on its own would make 418 carrier calls and 281
-    # moves.
-    redoku.pipeline._level(3, 5)
+    # Level 6 of order 3: 281 stuck classes close to 52 distinct fixpoints,
+    # 19 of them matched below level 6, whose matches pass on.  Matching
+    # each class on its own would make 418 carrier calls and 281 moves;
+    # matching each fixpoint again at every level made 107 and 52.
+    _, _, below = redoku.pipeline._level(3, 5)
     calls = {"carrier": 0, "move": 0}
     def counted(name, real):
         def wrapper(*args):
@@ -251,12 +259,29 @@ def test_level_matches_each_fixpoint_once(monkeypatch, fresh_pipeline_caches):
     monkeypatch.setattr(redoku.pipeline, "carrier",
                         counted("carrier", redoku.pipeline.carrier))
     monkeypatch.setattr(Symmetry, "move", counted("move", Symmetry.move))
-    records, _ = redoku.pipeline._level(3, 6)
+    records, _, _ = redoku.pipeline._level(3, 6)
     fixpoints = {r.fixpoint.mask for r in records
                  if r.catalog_match is not None}
     assert sum(r.verdict == NOT_SUDOKU for r in records) == 281
-    assert calls == {"carrier": 107, "move": len(fixpoints)}
-    assert len(fixpoints) == 52
+    assert len(fixpoints) == 52 and len(fixpoints - set(below)) == 33
+    assert calls == {"carrier": 70, "move": 33}
+
+
+def test_sweep_applies_few_coarse_elements(monkeypatch, fresh_pipeline_caches):
+    # Through order 3's level 6 the sweep applies 104 symmetries to masks:
+    # boxes are tested before any coarse element is applied, and fixpoint
+    # matches pass on between levels.  Applying each element that passed
+    # the counts, and matching each fixpoint again at every level, took
+    # 1,232.
+    applied, real = [], Symmetry.apply_mask
+
+    def apply_mask(self, mask):
+        applied.append(self)
+        return real(self, mask)
+    monkeypatch.setattr(Symmetry, "apply_mask", apply_mask)
+    for k in range(7):
+        redoku.pipeline._level(3, k)
+    assert len(applied) == 104
 
 
 def test_records_carry_verifiable_evidence(board):

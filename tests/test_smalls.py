@@ -19,7 +19,7 @@ from redoku.solver import (BUDGET, LUBY_UNIT, SolverOutcome, SolveStats,
                            read_corpus)
 from redoku.symmetry import pair_orbits
 
-from helpers import pattern_solution
+from helpers import cell_value, pattern_solution
 
 MODEL = "R2,R5,R8,C2,C5,C8"
 
@@ -145,7 +145,7 @@ def test_probe_pair_confirms_needed(board):
     assert record.witness is not None
     grid = record.witness
     cells = pair_cells(board, pair)
-    assert grid.get(*cells[0]) == grid.get(*cells[1])
+    assert cell_value(grid, *cells[0]) == cell_value(grid, *cells[1])
     assert record.seed_index is None
 
 

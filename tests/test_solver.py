@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 import redoku.solver
-from helpers import brute_force_satisfiable, pattern_solution
+from helpers import (brute_force_satisfiable, cell_region_ids, cell_value,
+                     pattern_solution)
 from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           region_cells, verify_grid)
 from redoku.pipeline import _level
@@ -66,7 +67,7 @@ def test_equality_across_absent_column_solves(board):
     outcome = solve(problem)
     assert outcome.status == SOLUTION
     grid = outcome.grid
-    assert grid.get(1, 1) == grid.get(4, 1)
+    assert cell_value(grid, 1, 1) == cell_value(grid, 4, 1)
     violated = verify_grid(grid, ConstraintSet.full(board))
     assert violated <= {board.parse_label("C1"), board.parse_label("C2")}
     assert violated
@@ -114,7 +115,7 @@ def test_extra_smalls_are_enforced(board2):
                             extra_smalls=((0, 15),))
     outcome = solve(problem)
     assert outcome.status == SOLUTION
-    assert outcome.grid.get(1, 1) != outcome.grid.get(4, 4)
+    assert cell_value(outcome.grid, 1, 1) != cell_value(outcome.grid, 4, 4)
 
 
 def test_solution_stats_count_decisions(board):
@@ -193,7 +194,7 @@ def test_witness_search_trees_are_pinned(board, text, nodes):
     # change to propagation that weakens or strengthens its fixpoint
     # changes a total.
     cset = parse_missing(board, text)
-    regions = board.cell_region_ids
+    regions = cell_region_ids(board)
     pairs = dict.fromkeys(
         pair for cid in cset.missing_ids
         for pair in combinations(region_cells(cid, board), 2))
@@ -412,7 +413,7 @@ def test_solve_equal_retires_a_refuted_alternative(board, board2,
 def test_parse_puzzle_line(board, board2):
     line = "1" + "0" * 40 + "." * 40
     grid = parse_puzzle_line(board, line)
-    assert grid.get(1, 1) == 1
+    assert cell_value(grid, 1, 1) == 1
     assert 81 - grid.values.count(0) == 1
     with pytest.raises(ValueError):
         parse_puzzle_line(board, "123")

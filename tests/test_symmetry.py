@@ -11,14 +11,15 @@ from redoku.board import (Board, ConstraintSet, parse_missing, region_cells,
                           verify_grid)
 from redoku.pipeline import _level, enumerate_classes
 from redoku.smalls import expand_small, sample_probes
-from redoku.symmetry import (Symmetry, _canonical_key, _coarse,
-                             _key_to_mask, canonical_key, carrier,
-                             carry_from_root, group_images,
-                             orbit_size, pair_orbits, stabilizer_generators)
+from redoku.symmetry import (Symmetry, _canonical_key, _coarse, _fits,
+                             _key_to_mask, carrier, carry_from_root,
+                             group_images, orbit_size, pair_orbits,
+                             stabilizer_generators)
 
-from helpers import (canonicalize, completions, covers, generators,
-                     group_order, image_key, inverse, pattern_solution,
-                     unfiltered_completions)
+from helpers import (applied_fits, apply, canonical_key, canonicalize,
+                     cell_region_ids,
+                     completions, covers, generators, group_order, image_key,
+                     inverse, pattern_solution, unfiltered_completions)
 
 
 def bfs_walk(cset):
@@ -148,7 +149,7 @@ def test_counted_orbit_sizes_match_images(order, top):
         for cset in enumerate_classes(board, k):
             size = len(group_images(cset))
             assert orbit_size(cset) == size
-            assert orbit_size(random_element(board, rng).apply(cset)) == size
+            assert orbit_size(apply(random_element(board, rng), cset)) == size
 
 
 def coarse_image_orbit_size(cset):
@@ -206,7 +207,7 @@ def test_canonical_key_constant_on_orbits(board):
         key = canonical_key(cset)
         for _ in range(8):
             g = random_element(board, rng)
-            assert canonical_key(g.apply(cset)) == key
+            assert canonical_key(apply(g, cset)) == key
 
 
 def test_canonicalize_is_idempotent_and_in_orbit(board):
@@ -264,7 +265,7 @@ def test_orbit_carriers_fix_the_model(board):
     orbits = pair_orbits(cset, expand_small(cset))
     for pair, (root, *_) in orbits.items():
         g = carry_from_root(board, orbits, pair)
-        assert g.apply(cset) == cset
+        assert apply(g, cset) == cset
         cells = g.cells
         assert tuple(sorted((cells[root[0]], cells[root[1]]))) == pair
         for region in present:
@@ -299,7 +300,7 @@ def test_stabilizer_generators_act_on_regions(board):
         gens = stabilizer_generators(cset)
         assert gens
         for g in gens:
-            assert g.apply(cset) == cset
+            assert apply(g, cset) == cset
             for cid in range(board.num_big):
                 image = {g.cells[c] for c in region_cells(cid, board)}
                 assert image == set(region_cells(g.labels[cid], board))
@@ -392,7 +393,7 @@ def test_cells_and_labels_match_their_definitions(order):
     # goes to rows[r] * side + cols[c], and a region goes to the one region
     # that holds the images of its first and last cells.
     board = Board(order)
-    side, regions = board.side, board.cell_region_ids
+    side, regions = board.side, cell_region_ids(board)
     rng = random.Random(19)
     for i in range(40):
         g = Symmetry(board, bool(i % 2), random_lines(order, rng),
@@ -476,7 +477,7 @@ def test_carrier_prefilter_loses_no_carrier(order, top):
     # of an unfiltered walk over the coarse elements.
     board = Board(order)
     for k in range(top + 1):
-        records, catalog = _level(order, k)
+        records, catalog, _ = _level(order, k)
         fixpoints = {r.fixpoint.mask for r in records
                      if not r.fixpoint.is_full()}
         for mask, entry in product(sorted(fixpoints), catalog):
@@ -486,13 +487,85 @@ def test_carrier_prefilter_loses_no_carrier(order, top):
                 walk[0] if walk else None)
 
 
+def sparse_model(board, rng, most):
+    """A random model with at most `most` absent constraints."""
+    return ConstraintSet.from_missing(
+        board, rng.sample(range(board.num_big), rng.randint(0, most)))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_fits_equal_the_walk_that_applies_every_element(order):
+    # _fits tests boxes on box rows before it applies an element; it must
+    # yield the same (element, image) sequence as the walk applying every
+    # coarse element first.  Targets: random masks, images of the source
+    # with one more absence, and the source itself.
+    board, rng = Board(order), random.Random(53)
+    yielded = Counter()
+    for _ in range(60 if order == 4 else 100):
+        source = sparse_model(board, rng, board.num_big // 3)
+        image = apply(random_element(board, rng), source).mask
+        for kind, target in (
+                ("random", rng.getrandbits(board.num_big)),
+                ("image", image & ~(1 << rng.randrange(board.num_big))),
+                ("self", source.mask)):
+            fits = list(_fits(board, source.mask, target))
+            assert fits == list(applied_fits(board, source.mask, target))
+            yielded[kind] += len(fits)
+    assert yielded["image"] > 0 and yielded["self"] > 0
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_carrier_count_filter_rejects_no_carried_entry(order):
+    # carrier gives up at once on an entry with more absent lines or boxes
+    # than the model; the unfiltered walk must carry no such entry, and
+    # otherwise carrier returns the walk's first completion.
+    board, rng = Board(order), random.Random(59)
+    rejected = carried = 0
+    for _ in range(60 if order == 4 else 100):
+        entry = sparse_model(board, rng, board.num_big // 3)
+        image = apply(random_element(board, rng), entry).mask
+        absent = [i for i in range(board.num_big) if not image >> i & 1]
+        for mask in (image | 1 << rng.choice(absent or [0]),
+                     image & ~(1 << rng.randrange(board.num_big)),
+                     rng.getrandbits(board.num_big)):
+            cset = ConstraintSet(board, mask)
+            walk = next(unfiltered_completions(board, entry.mask, mask), None)
+            assert carrier(entry, cset) == walk
+            lines = (1 << 2 * board.side) - 1
+            if any((entry.mask & m).bit_count() < (mask & m).bit_count()
+                   for m in (lines, ~lines)):
+                assert walk is None
+                rejected += 1
+            carried += walk is not None
+    assert rejected > 20 and carried > 20
+
+
+def test_roots_share_one_identity(board):
+    # carry_from_root returns one identity per order for every root.
+    cset = parse_missing(board, "R2,R5,R8,C2,C5,C8")
+    orbits = pair_orbits(cset, expand_small(cset))
+    roots = [pair for pair, (root, _, _) in orbits.items() if pair == root]
+    carries = {id(carry_from_root(board, orbits, root)) for root in roots}
+    assert len(roots) == 11 and len(carries) == 1
+    assert carry_from_root(board, orbits, roots[0]) == identity(board)
+
+
+@pytest.mark.parametrize("order, top", [(3, 7), (4, 6)])
+def test_sweep_orbit_sizes_equal_orbit_size(order, top):
+    # The sweep counts a class's size in the call keying its first child,
+    # which need not be the class's own mask.
+    for k in range(top + 1):
+        for record in _level(order, k)[0]:
+            assert record.orbit_size == orbit_size(record.cset)
+
+
 def test_carrier_of_a_model_onto_itself_is_the_identity(board):
     rng = random.Random(29)
     for _ in range(10):
         cset = ConstraintSet(board, rng.getrandbits(27))
         assert carrier(cset, cset) == identity(board)
-        image = random_element(board, rng).apply(cset)
-        assert carrier(cset, image).apply(cset) == image
+        image = apply(random_element(board, rng), cset)
+        assert apply(carrier(cset, image), cset) == image
 
 
 @pytest.mark.parametrize("order", [2, 3])
