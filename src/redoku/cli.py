@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
                    help="seed probes from a puzzle corpus; without a path, "
                         f"${CORPUS_ENV} is used")
     p.add_argument("--budget", type=int, default=DEFAULT_PROBE_BUDGET,
-                   help="node budget per probe search (default %(default)s)")
+                   help="node budget per corpus probe (default %(default)s)")
     p.add_argument("--jsonl", default="-", metavar="PATH",
                    help="probe report destination (default: stdout)")
     common(p, seed_for="--sample")

@@ -1,9 +1,9 @@
 # Binary-inequality view of constraint models: expanding big constraints to
 # deduplicated cell-pair inequalities, counting them, and probing whether a
 # pair can be dropped without weakening the model: a closure certificate
-# proves it can, a witness grid from a value swap or a search that it cannot.
-# A probe splits its base into whole regions and leftover pairs once; the
-# Rest of every pair it tries is derived from that split.
+# proves it can, a witness grid from a value swap that it cannot; only a
+# corpus-seeded probe searches.  A probe splits its base into whole regions
+# and leftover pairs once; the Rest of every pair it tries comes from that.
 
 import random
 from functools import lru_cache
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .board import Board, ConstraintSet, Grid, region_cells
 from .rewrite import closure
-from .solver import SolverProblem, pin_equal, solve_equal, value_swap
+from .solver import SolverProblem, solve_equal, value_swap
 from .symmetry import carry_from_root, pair_orbits
 
 CONFIRMED_NEEDED = "confirmed-needed"
@@ -20,6 +20,7 @@ REDUNDANT = "redundant"
 INCONCLUSIVE = "inconclusive"
 SEARCH = "search"
 CLOSURE = "closure"
+UNDECIDED = "undecided"
 
 
 def pair_cells(board: Board, pair) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -133,9 +134,9 @@ class ProbeRecord(NamedTuple):
     nodes: int
     propagations: int
     seed_index: int | None = None
-    # SEARCH, CLOSURE, "swap:" and the grid index of solver.value_swap, or
-    # "transported:" or "shared:" and "r1,c1-r2,c2" naming the pair whose
-    # record speaks for this one's orbit (see probe_minimality).
+    # CLOSURE, "swap:" and the grid index of solver.value_swap, UNDECIDED,
+    # SEARCH (corpus probes only), or "transported:" and "r1,c1-r2,c2"
+    # naming the pair whose witness was moved onto this one (see _share).
     provenance: str = SEARCH
     # REDUNDANT only: (region label, rendered trace), see _closed_rest.
     certificate: tuple[str, tuple[str, ...]] | None = None
@@ -203,11 +204,11 @@ def probe_pair(board: Board, base, pair, corpus=None,
     search: tried grid-major over the pairs of `orbit`, pairs whose probes
     a symmetry maps onto this one's, else on the pair, each pair's Rest
     derived from `split` only when its turn first comes, and the record is
-    the confirmed pair's.  Otherwise solver.solve_equal searches the
-    closed Rest, which admits the same grids; no grid within budget, or an
-    exhaustive refutation, which has no certificate, is inconclusive.  A
-    swap keeps no givens, so a `corpus` skips it: its puzzles race, unpinned,
-    on equal shares of `budget`; `seed_index` names the one that solved.
+    the confirmed pair's; failing both, the pair is inconclusive,
+    `undecided`, after no search.  A swap keeps no givens, so a `corpus`
+    skips it: solver.solve_equal races its puzzles, unpinned, on the closed
+    Rest, each on an equal share of `budget`; `seed_index` names the one
+    that solved, and no grid, which proves nothing, is inconclusive.
     """
     if corpus and budget < len(corpus):
         raise ValueError(f"node budget {budget} is below the corpus size "
@@ -216,22 +217,21 @@ def probe_pair(board: Board, base, pair, corpus=None,
     bigs, extras, certificate = _closed_rest(board, base, split, pair)
     if certificate:
         return _certified(pair, certificate)
-    if corpus:
-        problems = (SolverProblem(bigs, extras, (pair,), givens)
-                    for givens in corpus)
-        budget //= len(corpus)
-    else:
+    if not corpus:
         mates = orbit or [pair]
         found = value_swap((*_without(board, split, mate), [mate])
                            for mate in mates)
-        if found:
-            index, k, grid = found
-            return _needed(base, mates[k], grid, f"swap:{index}")
-        problems = [pin_equal(bigs, pair, extras)]
-    outcome, index = solve_equal(problems, budget)
+        if not found:
+            return ProbeRecord(pair, INCONCLUSIVE, None, 0, 0,
+                               provenance=UNDECIDED)
+        index, k, grid = found
+        return _needed(base, mates[k], grid, f"swap:{index}")
+    outcome, index = solve_equal(
+        (SolverProblem(bigs, extras, (pair,), givens) for givens in corpus),
+        budget // len(corpus))
     verdict = CONFIRMED_NEEDED if outcome.is_solution else INCONCLUSIVE
     return ProbeRecord(pair, verdict, outcome.grid, outcome.stats.nodes,
-                       outcome.stats.propagations, index if corpus else None)
+                       outcome.stats.propagations, index)
 
 
 def probe_minimality(board: Board, base, probes, corpus=None,
@@ -246,7 +246,7 @@ def probe_minimality(board: Board, base, probes, corpus=None,
     first, and its record speaks for them all (_share).  In a certified
     orbit every pair gets its own certificate.  Corpus givens break the
     symmetry, so with a corpus, as for a `base` that is not a model
-    expansion, every pair gets its own probe.
+    expansion, every pair gets its own probe; `budget` bounds those alone.
     """
     base = frozenset(base)
     probes = [tuple(pair) for pair in probes]
@@ -260,10 +260,10 @@ def probe_minimality(board: Board, base, probes, corpus=None,
     for pair in dict.fromkeys(probes):  # root -> its requested pairs
         # A pair outside `base` is its own root; probe_pair rejects it.
         members.setdefault(orbits.get(pair, (pair,))[0], []).append(pair)
-    searched = {root: probe_pair(board, base, pairs[0], budget=budget,
-                                 orbit=mates.get(root, ()), split=split)
-                for root, pairs in members.items()}
-    return [_share(board, base, split, searched[orbits[pair][0]], orbits,
+    probed = {root: probe_pair(board, base, pairs[0], budget=budget,
+                               orbit=mates.get(root, ()), split=split)
+              for root, pairs in members.items()}
+    return [_share(board, base, split, probed[orbits[pair][0]], orbits,
                    pair) for pair in probes]
 
 
@@ -271,8 +271,9 @@ def _share(board: Board, base, split, source: ProbeRecord, orbits,
            pair) -> ProbeRecord:
     """The record of `pair` in the orbit probe whose record is `source`:
     source itself for its own pair; if source was certified, the closure
-    certificate of `pair`'s own Rest; if source was confirmed, its witness
-    moved by the symmetry that carries source's pair onto `pair`: cell
+    certificate of `pair`'s own Rest; if source is undecided, source's
+    record with `pair` in it; if source was confirmed, its witness moved
+    by the symmetry that carries source's pair onto `pair`: cell
     to_pair(c) takes the value of cell to_source(c), where to_source and
     to_pair carry the orbit's root onto the two pairs.
     """
@@ -284,10 +285,9 @@ def _share(board: Board, base, split, source: ProbeRecord, orbits,
             raise RuntimeError(f"closure certifies pair {source.pair} but "
                                f"not its orbit mate {pair}")
         return _certified(pair, certificate)
-    (r1, c1), (r2, c2) = pair_cells(board, source.pair)
     if source.verdict != CONFIRMED_NEEDED:
-        return ProbeRecord(pair, INCONCLUSIVE, None, 0, 0,
-                           provenance=f"shared:{r1},{c1}-{r2},{c2}")
+        return source._replace(pair=pair)
+    (r1, c1), (r2, c2) = pair_cells(board, source.pair)
     to_source = carry_from_root(board, orbits, source.pair)
     values, moved = source.witness.values, [0] * board.num_cells
     for cell, image in zip(to_source.cells,

@@ -217,27 +217,30 @@ class _Engine:
         return best
 
     def search(self, budget: int) -> str:
-        if self.nassigned == self.nvars:
-            return SOLUTION
-        var = self.pick_var()
-        dom = self.dom[var]
-        positions = (range(self.side) if self.value_orders is None
+        # Depth first on a stack of (var, domain, values left, trail mark),
+        # so no grid is too deep for Python's recursion limit.
+        stack = []
+        while self.nassigned < self.nvars:
+            var = self.pick_var()
+            order = (range(self.side) if self.value_orders is None
                      else self.value_orders[var])
-        for bit_pos in positions:
-            bit = 1 << bit_pos
-            if not dom & bit:
-                continue
-            if self.nodes >= budget:
-                return BUDGET
-            self.nodes += 1
-            mark = len(self.trail)
-            self._set_dom(var, bit)
-            if self.propagate():
-                result = self.search(budget)
-                if result != UNSATISFIABLE:
-                    return result
-            self._undo(mark)
-        return UNSATISFIABLE
+            stack.append((var, self.dom[var], iter(order), len(self.trail)))
+            while stack:
+                var, dom, left, mark = stack[-1]
+                self._undo(mark)  # back to this level's domains
+                bit = next((1 << pos for pos in left if dom >> pos & 1), 0)
+                if not bit:  # every value failed: back up one level
+                    stack.pop()
+                    continue
+                if self.nodes >= budget:
+                    return BUDGET
+                self.nodes += 1
+                self._set_dom(var, bit)
+                if self.propagate():
+                    break
+            else:
+                return UNSATISFIABLE
+        return SOLUTION
 
     def extract_grid(self) -> Grid:
         return Grid(self.board,
@@ -296,8 +299,8 @@ SWAP_GRID_BUDGET = 20_000
 
 @lru_cache(maxsize=None)
 def _swap_grid(n: int, index: int) -> Grid | None:
-    # The full model's grid under the value order of restart_ladder's rung
-    # index + 1: ascending first, then seed 0, 1, ...
+    # The full model's grid: ascending for grid 0, then value-order seed
+    # index - 1.
     return solve(SolverProblem(ConstraintSet.full(Board(n))), SWAP_GRID_BUDGET,
                  index - 1 if index else None).grid
 
@@ -401,16 +404,6 @@ def restart_ladder(budget: int) -> tuple:
         rungs.append((len(rungs) - 1 if rungs else None, nodes))
         budget -= nodes
     return tuple(rungs)
-
-
-def pin_equal(bigs: ConstraintSet, pair: tuple[int, int],
-              extra_smalls=()) -> SolverProblem:
-    """The blank-board problem: a grid of the model in which both cells of
-    `pair`, a flat (a, b) like each pair of `extra_smalls`, hold 1.
-    Relabeling values maps solutions to solutions, so the pin costs no
-    generality."""
-    pin = tuple(int(cell in pair) for cell in range(bigs.board.num_cells))
-    return SolverProblem(bigs, extra_smalls, (pair,), Grid(bigs.board, pin))
 
 
 def solve_equal(problems, budget: int):

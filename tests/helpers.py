@@ -170,6 +170,16 @@ def class_orbit_sizes(board: Board, n_missing: int) -> tuple[int, ...]:
     return tuple(r.orbit_size for r in _level(board.n, n_missing)[0])
 
 
+def pin_equal(bigs: ConstraintSet, pair: tuple[int, int],
+              extra_smalls=()) -> SolverProblem:
+    """The blank-board problem: a grid of the model in which both cells of
+    `pair`, a flat (a, b) like each pair of `extra_smalls`, hold 1.
+    Relabeling values maps solutions to solutions, so the pin costs no
+    generality."""
+    pin = tuple(int(cell in pair) for cell in range(bigs.board.num_cells))
+    return SolverProblem(bigs, extra_smalls, (pair,), Grid(bigs.board, pin))
+
+
 def brute_force_satisfiable(problem: SolverProblem) -> bool:
     """Exhaustive satisfiability check; only sane for order-2 boards.
 

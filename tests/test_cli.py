@@ -231,6 +231,15 @@ def test_solve_full_model(capsys):
     assert "status: solution" in out
 
 
+def test_solve_order_six(capsys):
+    # A 1,296-cell grid goes deeper than Python's recursion limit, which a
+    # recursive search once hit with a traceback.
+    code, out, _ = run_cli(["solve", "--order", "6"], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("status: solution\nnodes: 1064 ")
+    assert len(out.splitlines()) == 2 + 36
+
+
 def test_solve_from_corpus(corpus_path, capsys):
     code, out, _ = run_cli(
         ["solve", "--corpus", str(corpus_path), "--index", "0"], capsys)

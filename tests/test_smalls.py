@@ -12,11 +12,10 @@ from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           region_cells)
 from redoku.pipeline import SUDOKU, _level
 from redoku.smalls import (CLOSURE, CONFIRMED_NEEDED, INCONCLUSIVE, REDUNDANT,
-                           SEARCH, _decompose, _needed, _without, expand_small,
-                           pair_cells, probe_minimality, probe_pair,
-                           sample_probes, small_count_range)
-from redoku.solver import (BUDGET, LUBY_UNIT, SolverOutcome, SolveStats,
-                           read_corpus)
+                           SEARCH, UNDECIDED, _decompose, _needed, _without,
+                           expand_small, pair_cells, probe_minimality,
+                           probe_pair, sample_probes, small_count_range)
+from redoku.solver import read_corpus
 from redoku.symmetry import pair_orbits
 
 from helpers import cell_value, pattern_solution
@@ -214,34 +213,41 @@ def test_full_base_probe_fixture(board):
 
 
 # A pair the closure of its rest cannot decide: (1,4)-(1,5) of this model
-# shares only the present box B2, and no probe finds a solution.
+# shares only the present box B2, and no grid makes it equal.
 UNDECIDED_MODEL = "R1,B1,B4,B5,B6,B7"
 UNDECIDED_PAIR = (3, 4)
 
 
-def test_unseeded_probe_stays_within_small_budget(board):
+def test_unseeded_probe_stays_within_small_budget(board, monkeypatch):
     # Sixteen restart rungs of at least 1,000 nodes each once spent 16,000
-    # nodes on such a pair at a budget of 2,000.
+    # nodes on such a pair at a budget of 2,000; a blank-board probe that
+    # neither the closure nor a swap decides now ends undecided, unsearched.
+    calls = recording_solves(monkeypatch)
     base = expand_small(parse_missing(board, UNDECIDED_MODEL))
     record = probe_pair(board, base, UNDECIDED_PAIR, budget=2_000)
-    assert record.verdict == INCONCLUSIVE
-    assert record.certificate is None
-    assert 0 < record.nodes <= 2_000
+    assert calls == []
+    assert (record.verdict, record.provenance) == (INCONCLUSIVE, UNDECIDED)
+    assert record.certificate is None and record.witness is None
+    assert (record.nodes, record.propagations) == (0, 0)
 
 
 def test_probe_sweep_has_no_heavy_tail(board, monkeypatch):
-    # With no swap grid, each orbit of the model's pairs falls back to one
-    # search of its root.  One long ascending rung once spent 154,774 nodes
-    # on the 11 searches of this sweep, searching the pairs of an orbit one
-    # after another 6,421, and searching the unclosed rests 5,780.  Node
-    # counts are deterministic.
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
+    # One search per orbit once spent up to 154,774 nodes on this model's
+    # whole 648-pair sweep.  Now its 11 orbits are probed once each, from
+    # their roots, and no pair is searched: the swaps confirm every pair,
+    # and with no swap grid every pair ends undecided.
     base = expand_small(parse_missing(board, MODEL))
-    records = probe_minimality(board, base, sorted(base))
-    assert sum(r.verdict == CONFIRMED_NEEDED for r in records) == 648
-    searched = [r for r in records if r.provenance == SEARCH]
-    assert len(searched) == 11
-    assert sum(r.nodes for r in searched) <= 1_087
+    for grids, verdict in ((None, CONFIRMED_NEEDED), (0, INCONCLUSIVE)):
+        if grids is not None:
+            monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", grids)
+        probed = counting_probes(monkeypatch)
+        calls = recording_solves(monkeypatch)
+        records = probe_minimality(board, base, sorted(base))
+        assert len(probed) == 11
+        assert calls == []
+        assert [r.pair for r in records] == sorted(base)
+        assert all(r.verdict == verdict for r in records)
+        assert sum(r.nodes + r.propagations for r in records) == 0
 
 
 def replay_certificate(board, base, data):
@@ -300,25 +306,17 @@ def test_redundant_certificates_replay(board, model, certified):
 def test_exhaustive_unsat_ends_the_probe(board2, monkeypatch):
     # In an order-2 Latin square (no boxes) the columns and the other rows
     # force row 2 to hold every value once, a count over the whole grid
-    # that no chute lemma makes, so the closure certifies nothing.  The
-    # first rung's search is complete and proves the pair unequal, which
-    # holds under any value order, so the probe stops after one solve
-    # instead of climbing the restart ladder; with no certificate the
-    # verdict stays inconclusive.
-    # Swap grids, built through solve too, pin no equality.
-    calls = []
-    real = redoku.solver.solve
-    def solve(problem, *args, **kwargs):
-        if problem.equalities:
-            calls.append(problem)
-        return real(problem, *args, **kwargs)
-    monkeypatch.setattr(redoku.solver, "solve", solve)
+    # that no chute lemma makes, so the closure certifies nothing, and no
+    # grid, so no swap, makes the pair equal.  A search would prove it
+    # unequal, with no certificate; the probe runs none and leaves it
+    # undecided.
+    calls = recording_solves(monkeypatch)
     base = expand_small(parse_missing(board2, "B1,B2,B3,B4"))
     record = probe_pair(board2, base, (4, 5))
-    assert len(calls) == 1
-    assert record.verdict == INCONCLUSIVE
+    assert calls == []
+    assert (record.verdict, record.provenance) == (INCONCLUSIVE, UNDECIDED)
     assert record.witness is None and record.certificate is None
-    assert 0 < record.nodes <= LUBY_UNIT
+    assert (record.nodes, record.propagations) == (0, 0)
 
 
 def equal_model_pairs(board, model, grid):
@@ -369,86 +367,73 @@ def requested_by_orbit(orbits, probes):
 
 def test_probe_minimality_transports_the_confirmed_witness(board,
                                                            monkeypatch):
-    # The search fallback, with no swap grid: a swapped witness takes the
-    # same transport (test_probe_draw_is_confirmed_by_swaps).
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
+    # Each orbit is probed once, from its first requested pair, and its
+    # swaps are tried over the whole orbit: the confirmed pair's witness is
+    # moved onto every other requested pair, and no pair is searched.
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     probes = sample_probes(base, 24, seed=1)
     orbits = pair_orbits(cset, base)
     members = requested_by_orbit(orbits, probes)
-    searched = counting_probes(monkeypatch)
+    probed = counting_probes(monkeypatch)
     calls = recording_solves(monkeypatch)
     records = probe_minimality(board, base, probes)
-    # One search per orbit, started from its first requested pair.
-    assert searched == [pairs[0] for pairs in members.values()]
-    assert len(searched) < len(probes)
+    assert probed == [pairs[0] for pairs in members.values()]
+    assert len(probed) < len(probes)
+    assert calls == []
     assert [r.pair for r in records] == probes
     for root, pairs in members.items():
         orbit = [r for r in records if r.pair in pairs]
-        found = [r for r in orbit if r.provenance == SEARCH]
-        # The confirming record holds the whole search's totals.
-        assert len(found) == 1
-        spent = [c for c in calls if orbits[c[0]][0] == root]
-        assert (found[0].nodes, found[0].propagations) == (
-            sum(c[3] for c in spent), sum(c[4] for c in spent))
-        assert found[0].nodes > 0
-        (r1, c1), (r2, c2) = pair_cells(board, found[0].pair)
+        sources = {r.provenance.split(":")[1] for r in orbit
+                   if r.provenance.startswith("transported:")}
+        swapped = [r for r in orbit if r.provenance.startswith("swap:")]
+        # One swap confirms the orbit, on a requested pair or on a mate.
+        assert len(swapped) <= 1 and len(sources) <= 1
+        if swapped:
+            (r1, c1), (r2, c2) = pair_cells(board, swapped[0].pair)
+            assert sources <= {f"{r1},{c1}-{r2},{c2}"}
+        for source in sources:
+            a, b = (board.cell_index(*map(int, cell.split(",")))
+                    for cell in source.split("-"))
+            assert orbits[(a, b)][0] == root
         for record in orbit:
             assert record.verdict == CONFIRMED_NEEDED
             assert equal_model_pairs(board, MODEL, record.witness) == [
                 record.pair]
             assert record.seed_index is None
-            if record is not found[0]:
-                assert record.provenance == f"transported:{r1},{c1}-{r2},{c2}"
-                assert (record.nodes, record.propagations) == (0, 0)
+            assert (record.nodes, record.propagations) == (0, 0)
 
 
 def test_probe_minimality_shares_an_unconfirmed_search(board, monkeypatch):
-    # With no swap grid and a budget of 10 no pair is confirmed: the
-    # orbit's first requested pair alone climbs its whole ladder, one rung
-    # of 10 nodes, and holds the totals of the search.
+    # With no swap grid nothing confirms a pair of this model, and the
+    # closure certifies none: each orbit is probed once, from its first
+    # requested pair, with no search, and every requested pair of it gets
+    # that undecided record with its own pair, whatever the budget.
     monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
     cset = parse_missing(board, MODEL)
     base = expand_small(cset)
     probes = sample_probes(base, 24, seed=5)
-    orbits = pair_orbits(cset, base)
-    members = requested_by_orbit(orbits, probes)
+    members = requested_by_orbit(pair_orbits(cset, base), probes)
+    probed = counting_probes(monkeypatch)
     calls = recording_solves(monkeypatch)
     records = probe_minimality(board, base, probes, budget=10)
-    assert sorted(c[:3] for c in calls) == sorted(
-        (pairs[0], None, 10) for pairs in members.values())
-    by_pair = {r.pair: r for r in records}
+    assert probed == [pairs[0] for pairs in members.values()]
+    assert len(probed) < len(probes)
+    assert calls == []
     assert [r.pair for r in records] == probes
-    for root, pairs in members.items():
-        first = by_pair[pairs[0]]
-        assert first.provenance == SEARCH and first.verdict == INCONCLUSIVE
-        assert first.nodes == sum(c[3] for c in calls if c[0] == pairs[0])
-        assert 0 < first.nodes <= 10
-        (r1, c1), (r2, c2) = pair_cells(board, pairs[0])
-        for pair in pairs[1:]:
-            record = by_pair[pair]
-            assert record.verdict == INCONCLUSIVE and record.witness is None
-            assert record.provenance == f"shared:{r1},{c1}-{r2},{c2}"
-            assert (record.nodes, record.propagations) == (0, 0)
+    for record in records:
+        assert record.verdict == INCONCLUSIVE
+        assert record.provenance == UNDECIDED
+        assert record.witness is None and record.certificate is None
+        assert (record.nodes, record.propagations) == (0, 0)
 
 
-def test_probe_draw_spends_few_nodes(board, corpus_path, monkeypatch):
-    # The benchmark's 64-pair draw with no swap grid: one search per orbit,
-    # of its first requested pair.  The closed rests cut the draw from
-    # 3,030 nodes to 1,016 when the orbit's requested pairs raced; alone,
-    # the first pairs spend 1,028.
-    monkeypatch.setattr(redoku.solver, "SWAP_GRIDS", 0)
+def test_probe_draw_spends_few_nodes(board, corpus_path):
+    # The benchmark's 64-pair draw seeded from the corpus: every pair is
+    # searched, its puzzles racing up the restart ladder.  One ascending
+    # solve per puzzle spent 38,988 nodes here, 33,358 of them on one pair.
     base = expand_small(parse_missing(board, MODEL))
     probes = sample_probes(base, 64, seed=1542757380)
-    records = probe_minimality(board, base, probes)
-    assert all(r.verdict == CONFIRMED_NEEDED for r in records)
-    searched = [r for r in records if r.provenance == SEARCH]
-    assert len(searched) == 11
-    assert sum(r.nodes for r in searched) <= 1_028
-    # Seeded from the corpus, every pair is searched, its puzzles racing up
-    # the restart ladder.  One ascending solve per puzzle spent 38,988
-    # nodes here, 33,358 of them on one pair.
     puzzles, _ = read_corpus(corpus_path, board)
     records = probe_minimality(board, base, probes, corpus=puzzles)
     assert all(r.verdict == CONFIRMED_NEEDED for r in records)
@@ -533,13 +518,10 @@ def test_orbit_mates_are_split_only_when_reached(board, monkeypatch):
     assert derived == [(0, 1)] * 2
 
 
-def split_by_orbit_root(board, classes, monkeypatch):
+def split_by_orbit_root(board, classes):
     """Pairs of the classes' expansions by what decides their orbit's root
-    probe: the closure, a value swap, or neither (a search, stubbed to stop
-    at once); and the number of classes with undecided pairs."""
-    def solve_equal(problems, budget):
-        return SolverOutcome(BUDGET, None, SolveStats(0, 0)), None
-    monkeypatch.setattr(redoku.smalls, "solve_equal", solve_equal)
+    probe: the closure, a value swap, or neither (undecided); and the
+    number of classes with undecided pairs."""
     split, undecided = Counter(), set()
     for cset in classes:
         base = expand_small(cset)
@@ -550,26 +532,25 @@ def split_by_orbit_root(board, classes, monkeypatch):
             record = probe_pair(board, base, root, orbit=orbit)
             kind = record.provenance.split(":")[0]
             split[kind] += len(orbit)
-            if kind == SEARCH:
+            assert record.nodes == 0
+            if kind == UNDECIDED:
                 assert record.verdict == INCONCLUSIVE
                 undecided.add(cset)
     return dict(split), len(undecided)
 
 
 @pytest.mark.parametrize("n, k, split, undecided", [
-    (2, 4, {CLOSURE: 19, "swap": 319, SEARCH: 1}, 1),
-    (3, 6, {CLOSURE: 1_026, "swap": 25_215, SEARCH: 57}, 14)])
-def test_closure_and_swaps_leave_only_counted_pairs(n, k, split, undecided,
-                                                    monkeypatch):
+    (2, 4, {CLOSURE: 19, "swap": 319, UNDECIDED: 1}, 1),
+    (3, 6, {CLOSURE: 1_026, "swap": 25_215, UNDECIDED: 57}, 14)])
+def test_closure_and_swaps_leave_only_counted_pairs(n, k, split, undecided):
     # Over the Sudoku classes of the last Sudoku level, the closure and
     # orbit-wide swaps decide every pair but those that only counting
-    # decides (57 pairs in 14 classes at order 3), so no needed pair
-    # reaches the search.
+    # decides (57 pairs in 14 classes at order 3), each with no search, so
+    # no needed pair is left undecided.
     classes = [r.cset for r in _level(n, k)[0] if r.verdict == SUDOKU]
     assert len(classes) == {2: 8, 3: 39}[n]
     board = classes[0].board
-    assert split_by_orbit_root(board, classes, monkeypatch) == (split,
-                                                                undecided)
+    assert split_by_orbit_root(board, classes) == (split, undecided)
 
 
 def test_probe_minimality_with_corpus_searches_every_pair(board, corpus_path):
@@ -591,10 +572,10 @@ def test_probe_minimality_of_a_pair_subset_searches_every_pair(board,
     # expansion and have no symmetry to share searches along.
     base = expand_small(parse_missing(board, MODEL))
     sample = frozenset(sample_probes(base, 20, seed=2))
-    searched = counting_probes(monkeypatch)
+    probed = counting_probes(monkeypatch)
     records = probe_minimality(board, sample, sorted(sample))
-    assert searched == [r.pair for r in records] == sorted(sample)
-    assert all(r.provenance == SEARCH or r.provenance.startswith("swap:")
+    assert probed == [r.pair for r in records] == sorted(sample)
+    assert all(r.provenance == UNDECIDED or r.provenance.startswith("swap:")
                for r in records)
 
 

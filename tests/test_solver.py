@@ -6,7 +6,7 @@ import pytest
 
 import redoku.solver
 from helpers import (brute_force_satisfiable, cell_region_ids, cell_value,
-                     pattern_solution)
+                     pattern_solution, pin_equal)
 from redoku.board import (Board, ConstraintSet, Grid, parse_missing,
                           region_cells, verify_grid)
 from redoku.pipeline import _level
@@ -16,14 +16,23 @@ from redoku.solver import (BUDGET, DEFAULT_NODE_BUDGET, LUBY_UNIT, SOLUTION,
                            SolverProblem, SolveStats, _broken_regions,
                            _checked_witness, _Engine, _swap_grid, find_witness,
                            luby, modification_witness, parse_puzzle_line,
-                           pin_equal, read_corpus, restart_ladder, solve,
-                           solve_equal, value_swap)
+                           read_corpus, restart_ladder, solve, solve_equal,
+                           value_swap)
 
 
 def test_full_board_solves(board):
     outcome = solve(SolverProblem(ConstraintSet.full(board)))
     assert outcome.status == SOLUTION
     assert verify_grid(outcome.grid, ConstraintSet.full(board)) == frozenset()
+
+
+def test_order_six_full_model_solves_within_a_small_budget():
+    # The ascending search assigns all 1,296 cells in 1,064 nodes, on an
+    # explicit stack rather than Python's, whose recursion limit it passes.
+    full = ConstraintSet.full(Board(6))
+    outcome = solve(SolverProblem(full), budget=2_000)
+    assert outcome.status == SOLUTION and outcome.stats.nodes == 1_064
+    assert verify_grid(outcome.grid, full) == frozenset()
 
 
 def test_corpus_puzzle_solution_extends_givens(board, corpus_path):
@@ -301,8 +310,8 @@ def test_find_witness_for_stuck_models(board):
 
 
 def recording_solves(monkeypatch):
-    """Record (problem, value_order_seed, budget, nodes) of every equality
-    solve, in call order."""
+    """Record (problem, value_order_seed, budget, nodes, status) of every
+    equality solve, in call order."""
     calls = []
     real = redoku.solver.solve
 
@@ -311,25 +320,38 @@ def recording_solves(monkeypatch):
                        value_order_seed=value_order_seed)
         if problem.equalities:
             calls.append((problem, value_order_seed, budget,
-                          outcome.stats.nodes))
+                          outcome.stats.nodes, outcome.status))
         return outcome
     monkeypatch.setattr(redoku.solver, "solve", solve)
     return calls
 
 
-def test_witnesses_and_probes_share_one_ladder(board, monkeypatch):
-    # A probe that never finds a solution climbs the Luby ladder until its
-    # budget is spent.  The closure of this pair's rest does not decide
-    # it, so the probe searches.
+def test_witnesses_and_probes_share_one_ladder(board, corpus_path,
+                                               monkeypatch):
+    # A corpus probe races its puzzles, each up the Luby ladder of an equal
+    # share of the budget: a puzzle's solves are that ladder's rungs, in
+    # order, until the top or until a rung refutes it.  Neither the closure
+    # nor any puzzle decides this pair: the first puzzle is refuted by
+    # propagation, the last after 15 rungs, and the other four climb all 22.
+    puzzles, _ = read_corpus(corpus_path, board)
     calls = recording_solves(monkeypatch)
     record = probe_pair(
         board, expand_small(parse_missing(board, "R1,B1,B4,B5,B6,B7")),
-        (3, 4), budget=16_000)
-    assert record.verdict == INCONCLUSIVE
-    ladder = [(seed, limit) for _, seed, limit, _ in calls]
+        (3, 4), corpus=puzzles, budget=16_000)
+    assert record.verdict == INCONCLUSIVE and record.seed_index is None
+    ladder = list(restart_ladder(16_000 // len(puzzles)))
     assert ladder[0] == (None, LUBY_UNIT) == (None, 64)
-    assert sum(nodes for _, nodes in ladder) == record.nodes == 16_000
-    assert ladder == list(restart_ladder(16_000))
+    climbs = []
+    for puzzle in puzzles:
+        climb = [call for call in calls if call[0].givens is puzzle]
+        assert [(seed, limit) for _, seed, limit, _, _ in climb] == ladder[
+            :len(climb)]
+        statuses = [status for *_, status in climb]
+        assert UNSATISFIABLE not in statuses[:-1]
+        assert statuses[-1] == UNSATISFIABLE or len(climb) == len(ladder)
+        climbs.append(len(climb))
+    assert climbs == [1, 22, 22, 22, 22, 15] and len(ladder) == 22
+    assert sum(nodes for *_, nodes, _ in calls) == record.nodes
 
 
 @pytest.mark.parametrize("text", ["B1,B2,B5,B6", "R1,C1,B2,B5,B6"])
